@@ -1,6 +1,5 @@
 """Numerical probes for Hankel- and Cesaro-type operators on the Dirichlet space."""
 
-from ._accel import backend, use_backend
 from .coeffspace import (
     TaylorPoly,
     dirichlet_inner,
@@ -51,8 +50,6 @@ __all__ = [
     "RngSpec",
     "ClassifyConfig",
     "ClassReport",
-    "backend",
-    "use_backend",
     "space_norm",
     "dirichlet_inner",
     "evaluate",

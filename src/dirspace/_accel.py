@@ -1,94 +1,71 @@
-"""Hot numeric kernels: numba-jitted with a pure-numpy fallback.
-
-The backend is chosen at import time: numba when importable, else numpy.
-Setting the environment variable ``DIRSPACE_DISABLE_NUMBA=1`` forces the
-numpy path.  ``use_backend()`` switches at runtime (used by the tests and by
-``benchmarks/bench_kernels.py`` to compare the two paths).
-
-Both paths implement identical arithmetic up to summation order; callers
-must not rely on bit-identical results across backends, only across runs
-of a fixed backend.
+"""Hot numeric kernels in numpy/BLAS: weighted sections, Gram assembly, the
+Hankel contraction and power iteration.  They keep no state and draw no random
+numbers, so a fixed input gives bit-identical output on a fixed numpy build.
 """
-
-from __future__ import annotations
-
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
 
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-# ---------------------------------------------------------------------------
-# numpy implementations
-# ---------------------------------------------------------------------------
-
-
-def _np_weighted_hankel(sym, row_w, col_w):
-    """out[j, k] = row_w[j] * col_w[k] * sym[j + k]."""
-    n = row_w.shape[0]
-    idx = np.arange(n)
+def weighted_hankel(sym, row_w, col_w):
+    """Section out[j,k] = row_w[j] * col_w[k] * sym[j+k] (sym len >= 2n-1)."""
+    idx = np.arange(row_w.shape[0])
     h = sym[idx[:, None] + idx[None, :]]
     return (row_w[:, None] * col_w[None, :]) * h
 
 
-def _np_weighted_triangular(diag, row_w, col_w):
-    """out[j, k] = row_w[j] * col_w[k] * diag[j] for k <= j, else 0."""
-    out = np.tril(np.outer(row_w * diag, col_w))
-    return out
+def weighted_triangular(diag, row_w, col_w):
+    """Lower-triangular section out[j,k] = row_w[j] * col_w[k] * diag[j], k <= j."""
+    return np.tril(np.outer(row_w * diag, col_w))
 
 
-def _np_gram(c, n, w):
-    """G[j, k] = sum_a c[a] * conj(c[a + j - k]) * w[j + a], size (n+1)^2."""
+def gram(c, n, w):
+    """Gram matrix G[j,k] = sum_a c[a] conj(c[a+j-k]) w[j+a], j,k = 0..n.
+
+    ``w`` must have length at least n + len(c).
+    """
+    c = np.ascontiguousarray(c)
+    w = np.ascontiguousarray(w, dtype=np.float64)
     a_len = c.shape[0]
+    if w.shape[0] < n + a_len:
+        raise ValueError("weight array too short for gram assembly")
     dtype = np.complex128 if np.iscomplexobj(c) else np.float64
     g = np.zeros((n + 1, n + 1), dtype=dtype)
     cc = np.conj(c)
-    for d in range(-(n), n + 1):  # d = k - j
-        if d >= 0:
-            a = np.arange(d, a_len)
-        else:
-            a = np.arange(0, a_len + d)
+    for d in range(-n, n + 1):  # d = k - j
+        a = np.arange(max(d, 0), a_len + min(d, 0))
         if a.size == 0:
             continue
         s = c[a] * cc[a - d]
         # correlate(w, conj(s))[j] = sum_a w[j + a0 + a] s[a]
         a0 = a[0]
         seg = np.correlate(w[a0:], np.conj(s), mode="valid")[: n + 1]
-        j = np.arange(seg.shape[0])
-        k = j + d
-        keep = (k >= 0) & (k <= n)
-        g[j[keep], k[keep]] = seg[keep]
+        # the weight-length check makes seg n + 1 long; keep 0 <= k <= n
+        j = np.arange(max(-d, 0), n + 1 - max(d, 0))
+        g[j, j + d] = seg[j]
     return g
 
 
-def _np_hankel_dot(sym, a, n_out):
-    """b[n] = sum_k sym[n + k] * a[k] for n = 0..n_out."""
+def hankel_dot(sym, a, n_out):
+    """b[n] = sum_k sym[n+k] a[k], n = 0..n_out."""
+    sym = np.ascontiguousarray(sym)
+    a = np.ascontiguousarray(a, dtype=sym.dtype)
     need = n_out + a.shape[0]
     if sym.shape[0] < need:
         raise ValueError("symbol array too short for requested output degree")
     return np.correlate(sym[:need], np.conj(a), mode="valid")[: n_out + 1]
 
 
-def _np_power_iteration(m, v0, tol, max_iter):
+def power_iteration(m, v0, tol, max_iter):
     """Largest singular value of m via power iteration on v -> m^H (m v).
 
     Returns (sigma, converged, iterations).  Convergence is declared when
     successive Rayleigh quotients rho = ||m v||^2 differ relatively by < tol.
     """
+    m = np.ascontiguousarray(m)
+    if m.ndim != 2:
+        raise ValueError("power_iteration expects a 2-D array")
+    if not m.any():
+        return 0.0, True, 0
     v = v0.astype(m.dtype)
     v = v / np.linalg.norm(v)
     if np.iscomplexobj(m):
@@ -111,187 +88,3 @@ def _np_power_iteration(m, v0, tol, max_iter):
             return 0.0, True, it
         v = u / nu
     return float(np.sqrt(rho)), False, max_iter
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if NUMBA_AVAILABLE:
-
-    @njit(cache=True)
-    def _nb_weighted_hankel(sym, row_w, col_w):
-        n = row_w.shape[0]
-        out = np.empty((n, n), dtype=sym.dtype)
-        for j in range(n):
-            rw = row_w[j]
-            for k in range(n):
-                out[j, k] = rw * col_w[k] * sym[j + k]
-        return out
-
-    @njit(cache=True)
-    def _nb_weighted_triangular(diag, row_w, col_w):
-        n = row_w.shape[0]
-        out = np.zeros((n, n), dtype=diag.dtype)
-        for j in range(n):
-            rd = row_w[j] * diag[j]
-            for k in range(j + 1):
-                out[j, k] = rd * col_w[k]
-        return out
-
-    @njit(cache=True)
-    def _nb_gram(c, n, w):
-        a_len = c.shape[0]
-        out = np.zeros((n + 1, n + 1), dtype=c.dtype)
-        s = np.empty(a_len, dtype=c.dtype)
-        for d in range(-n, n + 1):
-            lo = d if d > 0 else 0
-            hi = a_len if d >= 0 else a_len + d
-            if hi <= lo:
-                continue
-            for a in range(lo, hi):
-                s[a] = c[a] * np.conj(c[a - d])
-            j_lo = -d if d < 0 else 0
-            j_hi = n - d if d > 0 else n
-            for j in range(j_lo, j_hi + 1):
-                acc = s[lo] * w[j + lo]
-                for a in range(lo + 1, hi):
-                    acc += s[a] * w[j + a]
-                out[j, j + d] = acc
-        return out
-
-    @njit(cache=True)
-    def _nb_hankel_dot(sym, a, n_out):
-        klen = a.shape[0]
-        out = np.empty(n_out + 1, dtype=sym.dtype)
-        for n in range(n_out + 1):
-            acc = sym[n] * a[0]
-            for k in range(1, klen):
-                acc += sym[n + k] * a[k]
-            out[n] = acc
-        return out
-
-    @njit(cache=True)
-    def _nb_power_iteration(m, v0, tol, max_iter):
-        n_rows, n_cols = m.shape
-        v = v0.astype(m.dtype)
-        nv = 0.0
-        for k in range(n_cols):
-            nv += abs(v[k]) ** 2
-        v = v / np.sqrt(nv)
-        w = np.empty(n_rows, dtype=m.dtype)
-        u = np.empty(n_cols, dtype=m.dtype)
-        rho_prev = -1.0
-        rho = 0.0
-        for it in range(1, max_iter + 1):
-            rho = 0.0
-            for j in range(n_rows):
-                acc = m[j, 0] * v[0]
-                for k in range(1, n_cols):
-                    acc += m[j, k] * v[k]
-                w[j] = acc
-                rho += abs(acc) ** 2
-            if rho == 0.0:
-                return 0.0, True, it
-            if rho_prev >= 0.0 and abs(rho - rho_prev) <= tol * rho:
-                return np.sqrt(rho), True, it
-            rho_prev = rho
-            for k in range(n_cols):
-                u[k] = 0.0
-            for j in range(n_rows):
-                wj = w[j]
-                for k in range(n_cols):
-                    u[k] += np.conj(m[j, k]) * wj
-            nu = 0.0
-            for k in range(n_cols):
-                nu += abs(u[k]) ** 2
-            if nu == 0.0:
-                return 0.0, True, it
-            nu = np.sqrt(nu)
-            for k in range(n_cols):
-                v[k] = u[k] / nu
-        return np.sqrt(rho), False, max_iter
-
-    def _nb_power_iteration_wrap(m, v0, tol, max_iter):
-        sigma, conv, it = _nb_power_iteration(m, v0, tol, max_iter)
-        return float(sigma), bool(conv), int(it)
-
-
-_BACKENDS = {
-    "numpy": {
-        "weighted_hankel": _np_weighted_hankel,
-        "weighted_triangular": _np_weighted_triangular,
-        "gram": _np_gram,
-        "hankel_dot": _np_hankel_dot,
-        "power_iteration": _np_power_iteration,
-    }
-}
-if NUMBA_AVAILABLE:
-    _BACKENDS["numba"] = {
-        "weighted_hankel": _nb_weighted_hankel,
-        "weighted_triangular": _nb_weighted_triangular,
-        "gram": _nb_gram,
-        "hankel_dot": _nb_hankel_dot,
-        "power_iteration": _nb_power_iteration_wrap,
-    }
-
-_DISABLED = os.environ.get("DIRSPACE_DISABLE_NUMBA", "").strip().lower() in ("1", "true", "yes")
-_ACTIVE = "numba" if (NUMBA_AVAILABLE and not _DISABLED) else "numpy"
-
-
-def backend() -> str:
-    """Name of the active kernel backend ('numba' or 'numpy')."""
-    return _ACTIVE
-
-
-def available_backends():
-    return sorted(_BACKENDS)
-
-
-def use_backend(name: str) -> str:
-    """Switch the kernel backend; returns the previous one."""
-    global _ACTIVE
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown backend {name!r}; available: {available_backends()}")
-    prev = _ACTIVE
-    _ACTIVE = name
-    return prev
-
-
-def weighted_hankel(sym, row_w, col_w):
-    """Section out[j,k] = row_w[j] * col_w[k] * sym[j+k] (sym len >= 2n-1)."""
-    return _BACKENDS[_ACTIVE]["weighted_hankel"](sym, row_w, col_w)
-
-
-def weighted_triangular(diag, row_w, col_w):
-    """Lower-triangular section out[j,k] = row_w[j] * col_w[k] * diag[j], k <= j."""
-    return _BACKENDS[_ACTIVE]["weighted_triangular"](diag, row_w, col_w)
-
-
-def gram(c, n, w):
-    """Gram matrix G[j,k] = sum_a c[a] conj(c[a+j-k]) w[j+a], j,k = 0..n.
-
-    ``w`` must have length at least n + len(c).
-    """
-    c = np.ascontiguousarray(c)
-    w = np.ascontiguousarray(w, dtype=np.float64)
-    if w.shape[0] < n + c.shape[0]:
-        raise ValueError("weight array too short for gram assembly")
-    return _BACKENDS[_ACTIVE]["gram"](c, n, w)
-
-
-def hankel_dot(sym, a, n_out):
-    """b[n] = sum_k sym[n+k] a[k], n = 0..n_out."""
-    sym = np.ascontiguousarray(sym)
-    a = np.ascontiguousarray(a, dtype=sym.dtype)
-    return _BACKENDS[_ACTIVE]["hankel_dot"](sym, a, n_out)
-
-
-def power_iteration(m, v0, tol, max_iter):
-    """(sigma, converged, iterations) for the largest singular value of m."""
-    m = np.ascontiguousarray(m)
-    if m.ndim != 2:
-        raise ValueError("power_iteration expects a 2-D array")
-    if not m.any():
-        return 0.0, True, 0
-    return _BACKENDS[_ACTIVE]["power_iteration"](m, v0, float(tol), int(max_iter))

@@ -59,7 +59,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, _accel, carleson, criteria, measures, operators, stochastic, symbols
+from . import __version__, carleson, criteria, measures, operators, stochastic, symbols
 from .coeffspace import TaylorPoly
 
 COMMANDS = ("classify", "sections", "rkt", "moments", "carleson", "random-sim", "doublesum", "demo")
@@ -346,12 +346,12 @@ def _run_random_sim(cfg: dict) -> tuple[dict, list]:
     dist = _parse_dist(cfg)
     rng = _parse_seed(cfg)
     replicas = _as_int(_get(cfg, "replicas", 16), "replicas")
+    if replicas < 1:
+        raise ConfigError("replicas", "expected at least one replica")
     n = _as_int(_get(cfg, "n", 512), "n")
     m_grid = _as_grid(_get(cfg, "m_grid", [n // 8, n // 4, n // 2]), "m_grid")
     power = _parse_power(cfg)
-    report = stochastic.random_tail_experiment(
-        sym, dist, replicas, m_grid, n, rng, tol=power.get("tol", 1e-10)
-    )
+    report = stochastic.random_tail_experiment(sym, dist, replicas, m_grid, n, rng, **power)
     rand_rows = [[row.m, row.q25, row.median, row.q75] for row in report.rows]
     det_rows = [[row.m, row.deterministic, row.deterministic, row.deterministic] for row in report.rows]
     curves = [
@@ -533,7 +533,6 @@ def run(config: dict) -> dict:
         "results": results,
         "curves": curves,
         "provenance": {
-            "backend": _accel.backend(),
             "seed": config.get("seed"),
             "wall_time_s": round(time.perf_counter() - start, 6),
         },
@@ -599,11 +598,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: precondition failed: {exc}", file=sys.stderr)
-        return 2
+    # JSONDecodeError subclasses ValueError, so it must be caught first
     except json.JSONDecodeError as exc:
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"error: precondition failed: {exc}", file=sys.stderr)
         return 2
 
     payload = serialize(report, args.format)

@@ -140,6 +140,7 @@ def random_tail_experiment(
     rng: RngSpec,
     membership_nmax: int = 2**18,
     tol: float = 1e-10,
+    max_iter: int | None = None,
 ) -> RandomTailReport:
     """Tail-section norms of randomized vs deterministic symbols.
 
@@ -160,10 +161,10 @@ def random_tail_experiment(
     for r in range(replicas):
         sym = sample_symbol(s, d, RngSpec(rng.seed, rng.stream + r), 2 * n - 2)
         for j, m in enumerate(m_grid):
-            norms[r, j] = operators.tail_section_norm(sym, "hankel", m, n, tol=tol)
+            norms[r, j] = operators.tail_section_norm(sym, "hankel", m, n, tol=tol, max_iter=max_iter)
     rows = []
     for j, m in enumerate(m_grid):
-        det = operators.tail_section_norm(s, "hankel", m, n, tol=tol)
+        det = operators.tail_section_norm(s, "hankel", m, n, tol=tol, max_iter=max_iter)
         q25, q50, q75 = np.percentile(norms[:, j], [25.0, 50.0, 75.0])
         rows.append(TailQuartiles(m, float(q25), float(q50), float(q75), det))
     return RandomTailReport(rows, replicas, n, rng.seed, rng.stream, membership)

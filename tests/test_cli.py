@@ -70,6 +70,20 @@ def test_stochastic_commands_require_seed():
     assert err.value.path == "seed"
 
 
+def test_random_sim_rejects_zero_replicas():
+    cfg = {
+        "command": "random-sim",
+        "symbol": {"kind": "powerlog", "alpha": 1.0, "beta": 1.0},
+        "replicas": 0,
+        "n": 32,
+        "m_grid": [8],
+        "seed": 1,
+    }
+    with pytest.raises(cli.ConfigError) as err:
+        run_config(cfg)
+    assert err.value.path == "replicas"
+
+
 def test_random_sim_precondition_message():
     cfg = {
         "command": "random-sim",
@@ -225,6 +239,23 @@ def test_random_sim_command_and_seed():
     assert len(report["curves"][0]["rows"]) == 2
 
 
+def test_random_sim_honours_power_max_iter():
+    cfg = {
+        "command": "random-sim",
+        "symbol": {"kind": "powerlog", "alpha": 1.0, "beta": 1.0},
+        "replicas": 3,
+        "n": 64,
+        "m_grid": [16, 32],
+        "seed": 77,
+    }
+    full = run_config(cfg)["curves"][0]["rows"]
+    capped = run_config(dict(cfg, power={"max_iter": 2}))["curves"][0]["rows"]
+    assert capped != full
+    # two power steps only reach a lower estimate of each tail norm
+    for short, ref in zip(capped, full):
+        assert all(a <= b * (1 + 1e-12) for a, b in zip(short[1:], ref[1:]))
+
+
 def test_doublesum_command():
     report = run_config({"command": "doublesum", "count": 50, "max_len": 64, "seed": 5})
     assert report["results"]["max_ratio"] <= 10.0
@@ -292,10 +323,11 @@ def test_main_missing_config_exit_code():
     assert cli.main(["classify"]) == 2
 
 
-def test_main_invalid_json_exit_code(tmp_path):
+def test_main_invalid_json_exit_code(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{not json")
     assert cli.main(["classify", "--config", str(cfg)]) == 2
+    assert "config is not valid JSON" in capsys.readouterr().err
 
 
 def test_main_writes_files_and_seed_override(tmp_path, capsys):

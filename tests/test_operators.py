@@ -165,11 +165,18 @@ def test_top_singular_value_zero_matrix():
 
 
 def test_top_singular_value_matches_numpy_svd():
+    mats = []
     for i in range(5):
         vals = seeded_uniforms(31, i, 41) + 1j * seeded_uniforms(32, i, 41)
-        m = section_matrix(SymbolSeq.explicit(vals), "hankel", "dirichlet-section", 21)
+        mats.append(section_matrix(SymbolSeq.explicit(vals), "hankel", "dirichlet-section", 21).entries)
+    # dense matrices with no Hankel structure, real and complex
+    dense = seeded_uniforms(5, 0, 40 * 40).reshape(40, 40)
+    mats.append(dense)
+    mats.append(dense + 1j * seeded_uniforms(5, 1, 40 * 40).reshape(40, 40))
+    for m in mats:
         sigma, conv = top_singular_value(m, tol=1e-13, max_iter=50000)
-        ref = np.linalg.svd(m.entries, compute_uv=False)[0]
+        assert conv
+        ref = np.linalg.svd(m, compute_uv=False)[0]
         assert sigma == pytest.approx(ref, rel=1e-9)
 
 
