@@ -73,6 +73,12 @@ def _gram_entries(b: TaylorPoly, n: int, delta: float | None = None) -> np.ndarr
     return 0.5 * (g + g.conj().T)  # exact formula is Hermitian; kill rounding skew
 
 
+def symbol_poly(s, degree: int) -> TaylorPoly:
+    """The polynomial b of a symbol: the series with coefficients conj(lambda_n),
+    truncated at ``degree``."""
+    return TaylorPoly(np.conj(s.values(np.arange(degree + 1))))
+
+
 def symbol_gram(b: TaylorPoly, n: int) -> GramMatrix:
     """Exact Gram matrix of int z^j conj(z)^k |b'|^2 dA, j,k = 0..n."""
     return GramMatrix(_gram_entries(b, n), exact=True)

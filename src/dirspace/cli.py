@@ -40,7 +40,8 @@ increasing):
     classify    optional overrides {"m_grid", "nmax", "plateau_band",
                 "compact_factor", "divergence_cap", "bracket_rel_width"}
     power       optional {"tol": f, "max_iter": int} for norm estimates
-    preset      demo only; a preset name or "all"
+    preset      demo only; one of the twelve check names in checks.py
+                (e.g. "hilbert", "widom-ladder") or "all"
 
 Every reported norm carries its section dimension; every tail carries its
 bracket; every stochastic value carries its seed.  Reports are byte-identical
@@ -59,8 +60,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, carleson, criteria, measures, operators, stochastic, symbols
-from .coeffspace import TaylorPoly
+from . import __version__, carleson, checks, criteria, measures, operators, stochastic, symbols
 
 COMMANDS = ("classify", "sections", "rkt", "moments", "carleson", "random-sim", "doublesum", "demo")
 
@@ -180,11 +180,6 @@ def _parse_seed(cfg: dict) -> stochastic.RngSpec:
     return stochastic.RngSpec(seed, stream)
 
 
-def _symbol_to_poly(sym: symbols.SymbolSeq, degree: int) -> TaylorPoly:
-    """Truncation of the series with coefficients conj(lambda_n)."""
-    return TaylorPoly(np.conj(sym.values(np.arange(degree + 1))))
-
-
 def _curve(label: str, rows, meta=None) -> dict:
     return {
         "label": label,
@@ -218,9 +213,11 @@ def _run_classify(cfg: dict) -> tuple[dict, list]:
     if route == "carleson":
         if not has_symbol:
             raise ConfigError("route", "the carleson route needs a 'symbol'")
+        if kind != "hankel":
+            raise ConfigError("kind", "the carleson route classifies Hankel operators only")
         sym = _parse_symbol(cfg["symbol"])
         n_grid = _as_grid(_get(cfg, "n_grid", [64, 128, 256, 512]), "n_grid")
-        report = carleson.classify_hankel_general(_symbol_to_poly(sym, max(n_grid)), n_grid)
+        report = carleson.classify_hankel_general(carleson.symbol_poly(sym, max(n_grid)), n_grid)
         curves = [_curve("xnorm_vs_degree", _profile_rows(report.profile))]
     elif has_measure:
         spec = _parse_measure(cfg["measure"])
@@ -319,11 +316,11 @@ def _run_carleson(cfg: dict) -> tuple[dict, list]:
         raise ConfigError("delta_grid", "annulus widths must lie in (0, 1)")
     xnorm_rows = []
     for n in n_grid:
-        b = _symbol_to_poly(sym, n)
+        b = carleson.symbol_poly(sym, n)
         v = carleson.x_norm(b, n)
         xnorm_rows.append([n, v, v, v])
     n_top = max(n_grid)
-    b_top = _symbol_to_poly(sym, n_top)
+    b_top = carleson.symbol_poly(sym, n_top)
     restr_rows = []
     for delta in delta_grid:
         r = carleson.restricted_carleson_norm(b_top, n_top, delta)
@@ -377,8 +374,10 @@ def _run_doublesum(cfg: dict) -> tuple[dict, list]:
     rng = _parse_seed(cfg)
     count = _as_int(_get(cfg, "count", 1000), "count")
     max_len = _as_int(_get(cfg, "max_len", 512), "max_len")
-    if count < 1 or max_len < 2:
-        raise ConfigError("count", "need count >= 1 and max_len >= 2")
+    if count < 1:
+        raise ConfigError("count", "need count >= 1")
+    if max_len < 2:
+        raise ConfigError("max_len", "need max_len >= 2")
     from . import _rng as rngmod
 
     rows = []
@@ -394,115 +393,22 @@ def _run_doublesum(cfg: dict) -> tuple[dict, list]:
     return {"max_ratio": max_ratio, "argmax_vector": argmax, "seed": rng.seed}, curves
 
 
-# ---------------------------------------------------------------------------
-# demo presets (fast spot checks of the battery the test suite runs in full)
-# ---------------------------------------------------------------------------
-
-
-def _preset_hilbert():
-    spec = measures.MeasureSpec.lebesgue()
-    mom = spec.moments(np.arange(65))
-    exact = 1.0 / np.arange(1.0, 66.0)
-    ok = bool(np.max(np.abs(mom - exact)) <= 1e-12)
-    verdict = measures.classify_measure(spec, "hankel").verdict
-    ok = ok and verdict == "unbounded"
-    sigmas = []
-    sym = measures.moment_sequence(spec)
-    for n in (64, 256, 1024):
-        sig, _ = operators.top_singular_value(operators.section_matrix(sym, "hankel", "dirichlet-section", n))
-        sigmas.append(sig)
-    ok = ok and all(b > a for a, b in zip(sigmas, sigmas[1:]))
-    return ok, f"verdict={verdict}, section norms {[round(s, 4) for s in sigmas]}"
-
-
-def _preset_widom_ladder():
-    want = {0.5: "unbounded", 1.0: "bounded", 1.5: "compact"}
-    got = {b: criteria.classify(symbols.SymbolSeq.powerlog(1.0, b), "hankel").verdict for b in want}
-    return got == want, f"verdicts {got}"
-
-
-def _preset_point_mass():
-    sym = measures.moment_sequence(measures.MeasureSpec.point_mass(0.5))
-    tail = criteria.widom_tail(sym, 0, 64)
-    ok = tail.lower <= 4.0 / 9.0 <= tail.upper and (tail.upper - tail.lower) <= 1e-12
-    verdict = criteria.classify(sym, "hankel").verdict
-    ok = ok and verdict == "compact"
-    tails = [operators.tail_section_norm(sym, "hankel", m, 64) for m in (0, 4, 8)]
-    ok = ok and all(a / b >= 4.0 for a, b in zip(tails, tails[1:]))
-    return bool(ok), f"bracket width {tail.upper - tail.lower:.2e}, verdict={verdict}"
-
-
-def _preset_duality():
-    from . import _rng as rngmod
-
-    worst = 0.0
-    for i in range(10):
-        re = 2.0 * rngmod.uniforms(99, i, np.arange(255)) - 1.0
-        im = 2.0 * rngmod.uniforms(98, i, np.arange(255)) - 1.0
-        sym = symbols.SymbolSeq.explicit(re + 1j * im)
-        for n in (32, 128):
-            a = operators.section_matrix(sym, "hankel", "dirichlet-section", n)
-            b = operators.section_matrix(sym, "hankel", "bergman", n)
-            if np.max(np.abs(a.entries.T - b.entries)) > 1e-15:
-                return False, "transpose identity violated"
-            sa, _ = operators.top_singular_value(a, tol=1e-13, max_iter=20000)
-            sb, _ = operators.top_singular_value(b, tol=1e-13, max_iter=20000)
-            worst = max(worst, abs(sa - sb) / max(sa, 1e-300))
-    return worst <= 1e-10, f"worst sigma agreement {worst:.2e}"
-
-
-def _preset_doublesum():
-    from . import _rng as rngmod
-
-    mx = 0.0
-    for i in range(200):
-        length = 2 + int(rngmod.uniforms(4242, i, np.array([0]))[0] * 255)
-        vec = rngmod.uniforms(4243, i, np.arange(length))
-        mx = max(mx, criteria.double_sum_ratio(vec)[2])
-    return mx <= 10.0, f"max ratio {mx:.4f}"
-
-
-def _preset_fourth_moment():
-    from . import _rng as rngmod
-
-    for i in range(20):
-        a = 2.0 * rngmod.uniforms(321, i, np.arange(10)) - 1.0
-        exact = stochastic.fourth_moment_exact_rademacher(a)
-        closed = 3.0 * np.sum(a * a) ** 2 - 2.0 * np.sum(a**4)
-        if abs(exact - closed) > 1e-12 * max(closed, 1.0):
-            return False, f"enumeration vs closed form mismatch at vector {i}"
-        if exact > 3.0 * np.sum(a * a) ** 2 + 1e-12:
-            return False, f"fourth-moment bound violated at vector {i}"
-    a = 2.0 * rngmod.uniforms(322, 0, np.arange(25)) - 1.0
-    est, se = stochastic.fourth_moment_mc(a, stochastic.DistTag("gaussian"), 20000, stochastic.RngSpec(7, 0))
-    bound = 3.0 * np.sum(np.abs(a) ** 2) ** 2
-    ok = est <= bound + 4.0 * se
-    return bool(ok), f"mc estimate {est:.4f} vs bound {bound:.4f} (stderr {se:.4f})"
-
-
-_PRESETS = {
-    "hilbert": _preset_hilbert,
-    "widom-ladder": _preset_widom_ladder,
-    "point-mass": _preset_point_mass,
-    "duality": _preset_duality,
-    "doublesum": _preset_doublesum,
-    "fourth-moment": _preset_fourth_moment,
-}
-
-
 def _run_demo(cfg: dict) -> tuple[dict, list]:
     preset = _get(cfg, "preset", "all")
+    if not isinstance(preset, str):
+        raise ConfigError("preset", f"expected a check name or 'all', got {preset!r}")
+    registry = {check.name: check for check in checks.CHECKS}
     if preset == "all":
-        names = list(_PRESETS)
-    elif preset in _PRESETS:
-        names = [preset]
+        selected = list(registry.values())
+    elif preset in registry:
+        selected = [registry[preset]]
     else:
-        raise ConfigError("preset", f"unknown preset {preset!r}; choose from {sorted(_PRESETS)} or 'all'")
-    checks = []
-    for name in names:
-        ok, detail = _PRESETS[name]()
-        checks.append({"preset": name, "pass": bool(ok), "detail": detail})
-    return {"checks": checks, "all_pass": all(c["pass"] for c in checks)}, []
+        raise ConfigError("preset", f"unknown preset {preset!r}; choose from {sorted(registry)} or 'all'")
+    results = []
+    for check in selected:
+        ok, detail = check.run("quick")
+        results.append({"preset": check.name, "pass": ok, "detail": detail})
+    return {"checks": results, "all_pass": all(c["pass"] for c in results)}, []
 
 
 _HANDLERS = {
@@ -601,6 +507,9 @@ def main(argv=None) -> int:
     # JSONDecodeError subclasses ValueError, so it must be caught first
     except json.JSONDecodeError as exc:
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: precondition failed: {exc}", file=sys.stderr)

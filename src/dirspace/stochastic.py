@@ -150,6 +150,8 @@ def random_tail_experiment(
     stream rng.stream + r; aggregation order is fixed, so reports are
     reproducible.
     """
+    if replicas < 1:
+        raise ValueError("need at least one replica")
     membership = criteria.dirichlet_membership(s, membership_nmax)
     if membership.divergent or not membership.certified:
         raise ValueError(

@@ -1,34 +1,20 @@
 """Shared test oracles: polar-quadrature integrals and seeded random data.
 
-The quadrature helpers are deliberately independent of the library's own
-coefficient formulas: Gauss-Legendre in the radius against uniform angular
-grids, evaluating polynomials pointwise.  They serve as the second route
-wherever the package computes disk integrals from coefficients.
+The seeded data and quadrature helpers live in ``dirspace.checks``, which the
+acceptance checks also use; they are re-exported here for the unit tests.
 """
 
 import numpy as np
 import pytest
 
-from dirspace import _rng
+from dirspace.checks import (  # noqa: F401  (re-exported for the tests)
+    disk_integral_mean,
+    polyval_circle,
+    quad_gram_entry,
+    random_poly,
+    seeded_uniforms,
+)
 from dirspace.coeffspace import TaylorPoly
-
-
-def polyval_circle(coeffs: np.ndarray, r: float, m: int) -> np.ndarray:
-    """Values of sum c_a z^a on m uniform points of the circle |z| = r."""
-    x = coeffs * r ** np.arange(coeffs.shape[0])
-    return m * np.fft.ifft(x, m)
-
-
-def disk_integral_mean(values_fn, deg: int, radial: int = 80, angular: int | None = None):
-    """int_D g dA (normalized area) with g given on circles by values_fn(r, m)."""
-    m = angular or max(64, 4 * deg + 9)
-    nodes, weights = np.polynomial.legendre.leggauss(radial)
-    r = 0.5 * (nodes + 1.0)
-    w = 0.5 * weights
-    total = 0.0
-    for ri, wi in zip(r, w):
-        total += wi * 2.0 * ri * np.mean(values_fn(ri, m))
-    return total
 
 
 def quad_dirichlet_norm_sq(p: TaylorPoly) -> float:
@@ -40,38 +26,6 @@ def quad_dirichlet_norm_sq(p: TaylorPoly) -> float:
         return np.abs(polyval_circle(dc, r, m)) ** 2
 
     return float(abs(p.coeffs[0]) ** 2 + disk_integral_mean(g, deg))
-
-
-def quad_gram_entry(b: TaylorPoly, j: int, k: int) -> complex:
-    """int z^j conj(z)^k |b'(z)|^2 dA by polar quadrature."""
-    dc = b.derivative().coeffs
-    deg = dc.shape[0] - 1 + max(j, k)
-
-    def g(r, m):
-        theta = 2.0 * np.pi * np.arange(m) / m
-        zjk = r ** (j + k) * np.exp(1j * (j - k) * theta)
-        return zjk * np.abs(polyval_circle(dc, r, m)) ** 2
-
-    m = max(64, 4 * deg + 9)
-    nodes, weights = np.polynomial.legendre.leggauss(80)
-    r = 0.5 * (nodes + 1.0)
-    w = 0.5 * weights
-    total = 0.0 + 0.0j
-    for ri, wi in zip(r, w):
-        total += wi * 2.0 * ri * np.mean(g(ri, m))
-    return complex(total)
-
-
-def seeded_uniforms(seed: int, stream: int, count: int) -> np.ndarray:
-    return _rng.uniforms(seed, stream, np.arange(count))
-
-
-def random_poly(seed: int, stream: int, degree: int, complex_coeffs: bool = True) -> TaylorPoly:
-    re = 2.0 * _rng.uniforms(seed, stream, np.arange(degree + 1)) - 1.0
-    if not complex_coeffs:
-        return TaylorPoly(re)
-    im = 2.0 * _rng.uniforms(seed ^ 0x1111, stream, np.arange(degree + 1)) - 1.0
-    return TaylorPoly(re + 1j * im)
 
 
 @pytest.fixture

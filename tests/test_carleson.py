@@ -8,15 +8,12 @@ from dirspace.carleson import (
     mixed_norm,
     restricted_carleson_norm,
     symbol_gram,
+    symbol_poly,
     x_norm,
 )
 from dirspace.coeffspace import TaylorPoly
 from dirspace.measures import MeasureSpec
 from dirspace.symbols import SymbolSeq
-
-
-def symbol_poly(s, degree):
-    return TaylorPoly(np.conj(s.values(np.arange(degree + 1))))
 
 
 def test_gram_zero_symbol():

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from dirspace import cli
+from dirspace import checks, cli
 
 
 def run_config(config):
@@ -82,6 +82,25 @@ def test_random_sim_rejects_zero_replicas():
     with pytest.raises(cli.ConfigError) as err:
         run_config(cfg)
     assert err.value.path == "replicas"
+
+
+@pytest.mark.parametrize(
+    "config, path",
+    [
+        (
+            {"command": "classify", "route": "carleson", "kind": "cesaro",
+             "symbol": {"kind": "powerlog", "alpha": 1.0, "beta": 1.0}},
+            "kind",
+        ),
+        ({"command": "doublesum", "count": 5, "max_len": 1, "seed": 1}, "max_len"),
+        ({"command": "doublesum", "count": 0, "max_len": 8, "seed": 1}, "count"),
+        ({"command": "demo", "preset": ["x"]}, "preset"),
+    ],
+)
+def test_config_error_path(config, path):
+    with pytest.raises(cli.ConfigError) as err:
+        run_config(config)
+    assert err.value.path == path
 
 
 def test_random_sim_precondition_message():
@@ -265,11 +284,13 @@ def test_doublesum_command():
 def test_demo_all_passes():
     report = run_config({"command": "demo"})
     assert report["results"]["all_pass"]
-    assert {c["preset"] for c in report["results"]["checks"]} == set(cli._PRESETS)
+    names = [c["preset"] for c in report["results"]["checks"]]
+    assert names == [check.name for check in checks.CHECKS]
+    assert len(names) == 12
 
 
 def test_determinism_modulo_wall_time():
-    cfg = {
+    random_sim = {
         "command": "random-sim",
         "symbol": {"kind": "powerlog", "alpha": 1.0, "beta": 1.0},
         "replicas": 2,
@@ -277,11 +298,12 @@ def test_determinism_modulo_wall_time():
         "m_grid": [8],
         "seed": 9,
     }
-    r1 = strip_wall_time(run_config(cfg))
-    r2 = strip_wall_time(run_config(cfg))
-    b1 = cli.serialize(r1, "json")["report.json"]
-    b2 = cli.serialize(r2, "json")["report.json"]
-    assert b1 == b2
+    for cfg in (random_sim, {"command": "demo"}):
+        r1 = strip_wall_time(run_config(cfg))
+        r2 = strip_wall_time(run_config(cfg))
+        b1 = cli.serialize(r1, "json")["report.json"]
+        b2 = cli.serialize(r2, "json")["report.json"]
+        assert b1 == b2
 
 
 # -- serialization ------------------------------------------------------------
@@ -319,8 +341,10 @@ def test_main_config_error_exit_code(tmp_path):
     assert cli.main(["sections", "--config", str(cfg)]) == 2
 
 
-def test_main_missing_config_exit_code():
+def test_main_missing_config_exit_code(tmp_path, capsys):
     assert cli.main(["classify"]) == 2
+    assert cli.main(["classify", "--config", str(tmp_path / "nonexistent.json")]) == 2
+    assert "cannot read config" in capsys.readouterr().err
 
 
 def test_main_invalid_json_exit_code(tmp_path, capsys):
@@ -369,7 +393,8 @@ def test_main_demo_preset(tmp_path):
 
 
 def test_main_demo_failure_exit_code(tmp_path, monkeypatch):
-    monkeypatch.setitem(cli._PRESETS, "always-red", lambda: (False, "synthetic failure"))
+    red = checks.Check(13, "always-red", "always red", lambda: (False, "synthetic failure"), {}, {})
+    monkeypatch.setattr(checks, "CHECKS", [*checks.CHECKS, red])
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"preset": "always-red"}))
     assert cli.main(["demo", "--config", str(cfg)]) == 1
@@ -377,8 +402,9 @@ def test_main_demo_failure_exit_code(tmp_path, monkeypatch):
 
 def test_main_unknown_preset_exit_code(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"preset": "nope"}))
-    assert cli.main(["demo", "--config", str(cfg)]) == 2
+    for preset in ("nope", ["x"]):
+        cfg.write_text(json.dumps({"preset": preset}))
+        assert cli.main(["demo", "--config", str(cfg)]) == 2
 
 
 def test_main_stdout_json(tmp_path, capsys):

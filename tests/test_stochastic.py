@@ -145,6 +145,13 @@ def test_random_tail_zero_symbol():
         assert row.median == 0.0 and row.deterministic == 0.0
 
 
+def test_random_tail_rejects_zero_replicas():
+    with pytest.raises(ValueError, match="at least one replica"):
+        random_tail_experiment(
+            SymbolSeq.powerlog(1.0, 1.0), DistTag("rademacher"), 0, [8], 32, RngSpec(1)
+        )
+
+
 def test_random_tail_determinism():
     base = SymbolSeq.powerlog(1.0, 1.0)
     r1 = random_tail_experiment(base, DistTag("rademacher"), 4, [16, 32], 64, RngSpec(21, 5))
