@@ -4,6 +4,7 @@ numbers, so a fixed input gives bit-identical output on a fixed numpy build.
 """
 
 import numpy as np
+from scipy import linalg
 
 
 def weighted_hankel(sym, row_w, col_w):
@@ -21,28 +22,19 @@ def weighted_triangular(diag, row_w, col_w):
 def gram(c, n, w):
     """Gram matrix G[j,k] = sum_a c[a] conj(c[a+j-k]) w[j+a], j,k = 0..n.
 
-    ``w`` must have length at least n + len(c).
+    ``w`` must have length at least n + len(c).  With the Toeplitz matrix
+    T[p, j] = c[p - j] (p = 0..n+len(c)-1) this is G = T^T diag(w) conj(T),
+    assembled as one product of sqrt(w)-scaled T with its conjugate.
     """
     c = np.ascontiguousarray(c)
     w = np.ascontiguousarray(w, dtype=np.float64)
-    a_len = c.shape[0]
-    if w.shape[0] < n + a_len:
+    rows = n + c.shape[0]
+    if w.shape[0] < rows:
         raise ValueError("weight array too short for gram assembly")
-    dtype = np.complex128 if np.iscomplexobj(c) else np.float64
-    g = np.zeros((n + 1, n + 1), dtype=dtype)
-    cc = np.conj(c)
-    for d in range(-n, n + 1):  # d = k - j
-        a = np.arange(max(d, 0), a_len + min(d, 0))
-        if a.size == 0:
-            continue
-        s = c[a] * cc[a - d]
-        # correlate(w, conj(s))[j] = sum_a w[j + a0 + a] s[a]
-        a0 = a[0]
-        seg = np.correlate(w[a0:], np.conj(s), mode="valid")[: n + 1]
-        # the weight-length check makes seg n + 1 long; keep 0 <= k <= n
-        j = np.arange(max(-d, 0), n + 1 - max(d, 0))
-        g[j, j + d] = seg[j]
-    return g
+    col = np.concatenate([c, np.zeros(n, dtype=c.dtype)])
+    t = linalg.toeplitz(col, np.zeros(n + 1, dtype=c.dtype))
+    a = t * np.sqrt(w[:rows])[:, None]
+    return a.T @ a.conj()
 
 
 def hankel_dot(sym, a, n_out):

@@ -16,8 +16,6 @@ heuristic and always reported together with the full degree sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import _accel
@@ -25,27 +23,14 @@ from .coeffspace import TaylorPoly, weight_sequence
 from .criteria import ClassReport, ProfilePoint
 from .operators import default_max_iter, top_singular_value
 
-
-@dataclass(frozen=True)
-class GramMatrix:
-    entries: np.ndarray
-    exact: bool = True
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True)
-class CarlesonConfig:
-    # the x-norm of a borderline-unbounded symbol grows additively in log N,
-    # so consecutive-doubling ratios tend to 1; growth is judged over the
-    # whole sweep, saturation at its end
-    growth_ratio: float = 1.25  # last/first >= this => unbounded (heuristic)
-    saturation_ratio: float = 1.15  # last/previous <= this => saturated
-    vanish_fraction: float = 0.1  # restricted/full below this => vanishing
-    vanish_delta: float = 2.0**-6
-    delta_schedule: tuple = tuple(2.0**-j for j in range(3, 9))
+# the x-norm of a borderline-unbounded symbol grows additively in log N,
+# so consecutive-doubling ratios tend to 1; growth is judged over the
+# whole sweep, saturation at its end
+GROWTH_RATIO = 1.25  # last/first >= this => unbounded (heuristic)
+SATURATION_RATIO = 1.15  # last/previous <= this => saturated
+VANISH_FRACTION = 0.1  # restricted/full below this => vanishing
+VANISH_DELTA = 2.0**-6
+DELTA_SCHEDULE = tuple(2.0**-j for j in range(3, 9))
 
 
 def _disk_power_weights(count: int, delta: float | None = None) -> np.ndarray:
@@ -62,53 +47,45 @@ def _disk_power_weights(count: int, delta: float | None = None) -> np.ndarray:
     return w
 
 
-def _gram_entries(b: TaylorPoly, n: int, delta: float | None = None) -> np.ndarray:
-    c = b.derivative().coeffs
-    if not np.any(c):
-        return np.zeros((n + 1, n + 1))
-    if np.all(c.imag == 0.0):
-        c = c.real.astype(np.float64)
-    w = _disk_power_weights(n + c.shape[0], delta)
-    g = _accel.gram(c, n, w)
-    return 0.5 * (g + g.conj().T)  # exact formula is Hermitian; kill rounding skew
-
-
 def symbol_poly(s, degree: int) -> TaylorPoly:
     """The polynomial b of a symbol: the series with coefficients conj(lambda_n),
     truncated at ``degree``."""
     return TaylorPoly(np.conj(s.values(np.arange(degree + 1))))
 
 
-def symbol_gram(b: TaylorPoly, n: int) -> GramMatrix:
-    """Exact Gram matrix of int z^j conj(z)^k |b'|^2 dA, j,k = 0..n."""
-    return GramMatrix(_gram_entries(b, n), exact=True)
+def symbol_gram(b: TaylorPoly, n: int, delta: float | None = None) -> np.ndarray:
+    """Exact Gram matrix of int z^j conj(z)^k |b'|^2 dA, j,k = 0..n, over the
+    disk (delta None) or the annulus 1 - delta < |z| < 1."""
+    c = b.derivative().coeffs
+    if np.all(c.imag == 0.0):
+        c = c.real.astype(np.float64)
+    g = _accel.gram(c, n, _disk_power_weights(n + c.shape[0], delta))
+    return 0.5 * (g + g.conj().T)  # exact formula is Hermitian; kill rounding skew
 
 
-def _rayleigh_top(g: np.ndarray, tol: float, max_iter: int | None):
+def _rayleigh_top(g: np.ndarray) -> float:
     d = weight_sequence("dirichlet-exact", g.shape[0] - 1)
     scale = 1.0 / np.sqrt(d)
     a = g * scale[:, None] * scale[None, :]
-    if max_iter is None:
-        max_iter = 4 * default_max_iter(a.shape[0])
-    sigma, _ = top_singular_value(a, tol=tol, max_iter=max_iter)
+    sigma, _ = top_singular_value(a, tol=1e-12, max_iter=4 * default_max_iter(a.shape[0]))
     return float(sigma)
 
 
-def finite_test_carleson_norm(b: TaylorPoly, n: int, tol: float = 1e-12) -> float:
+def finite_test_carleson_norm(b: TaylorPoly, n: int) -> float:
     """Largest Rayleigh quotient of the embedding form over degree-<=n tests.
 
     Equals the square of the best Carleson constant restricted to polynomial
     test functions of degree <= n; nondecreasing in n.
     """
-    return _rayleigh_top(_gram_entries(b, n), tol, None)
+    return _rayleigh_top(symbol_gram(b, n))
 
 
-def x_norm(b: TaylorPoly, n: int, tol: float = 1e-12) -> float:
+def x_norm(b: TaylorPoly, n: int) -> float:
     """|b(0)|^2 + finite-test Carleson norm of |b'|^2 dA."""
-    return float(abs(b.coeffs[0]) ** 2) + finite_test_carleson_norm(b, n, tol)
+    return float(abs(b.coeffs[0]) ** 2) + finite_test_carleson_norm(b, n)
 
 
-def restricted_carleson_norm(b: TaylorPoly, n: int, delta: float, tol: float = 1e-12) -> float:
+def restricted_carleson_norm(b: TaylorPoly, n: int, delta: float) -> float:
     """Finite-test norm with the Gram restricted to the annulus 1-delta < |z| < 1.
 
     Tends to the full-disk value as delta -> 1; its decay as delta -> 0
@@ -116,7 +93,7 @@ def restricted_carleson_norm(b: TaylorPoly, n: int, delta: float, tol: float = 1
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("annulus width delta must lie in (0, 1)")
-    return _rayleigh_top(_gram_entries(b, n, delta=delta), tol, None)
+    return _rayleigh_top(symbol_gram(b, n, delta))
 
 
 def mixed_norm(
@@ -168,24 +145,18 @@ def _refined_max(x: np.ndarray, grid_mod: np.ndarray) -> float:
     return float(max(np.max(np.abs(acc)), grid_mod[j]))
 
 
-def classify_hankel_general(
-    b: TaylorPoly,
-    n_grid,
-    cfg: CarlesonConfig | None = None,
-    tol: float = 1e-12,
-) -> ClassReport:
+def classify_hankel_general(b: TaylorPoly, n_grid) -> ClassReport:
     """Heuristic verdict for a general symbol via the Carleson route.
 
     b is the truncation of the series with coefficients conj(lambda_n).  The
     x-norm sweep over n_grid decides growth vs saturation; saturation is
-    promoted to compact when the annulus-restricted norm at the smallest
-    delta has decayed below the configured fraction of the full norm.
+    promoted to compact when the annulus-restricted norm at VANISH_DELTA has
+    decayed below VANISH_FRACTION of the full norm.
     """
-    cfg = cfg or CarlesonConfig()
     n_grid = [int(n) for n in n_grid]
     if any(x2 <= x1 for x1, x2 in zip(n_grid, n_grid[1:])) or not n_grid:
         raise ValueError("degree grid must be nonempty and strictly increasing")
-    values = [x_norm(b.truncate(n), n, tol) for n in n_grid]
+    values = [x_norm(b.truncate(n), n) for n in n_grid]
     profile = [ProfilePoint(n, v, v) for n, v in zip(n_grid, values)]
     notes = ["finite-test Carleson norms are lower-bound estimators; verdicts heuristic"]
     if values[-1] == 0.0:
@@ -194,16 +165,16 @@ def classify_hankel_general(
     r_full = values[-1] / values[0] if values[0] > 0.0 else np.inf
     r_last = values[-1] / values[-2] if len(values) >= 2 and values[-2] > 0.0 else np.inf
     n_top = n_grid[-1]
-    restricted = restricted_carleson_norm(b.truncate(n_top), n_top, cfg.vanish_delta, tol)
+    restricted = restricted_carleson_norm(b.truncate(n_top), n_top, VANISH_DELTA)
     vanish = restricted / values[-1]
     notes.append(
         f"x-norm sweep ratio {r_full:.4g}, end ratio {r_last:.4g}; "
         f"boundary fraction {vanish:.4g}"
     )
-    if r_full >= cfg.growth_ratio:
+    if r_full >= GROWTH_RATIO:
         return ClassReport("unbounded", "heuristic", profile, notes)
-    if r_last <= cfg.saturation_ratio:
-        if vanish <= cfg.vanish_fraction:
+    if r_last <= SATURATION_RATIO:
+        if vanish <= VANISH_FRACTION:
             return ClassReport("compact", "heuristic", profile, notes)
         return ClassReport("bounded", "heuristic", profile, notes)
     return ClassReport("inconclusive", "heuristic", profile, notes)

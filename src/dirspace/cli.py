@@ -308,26 +308,20 @@ def _run_carleson(cfg: dict) -> tuple[dict, list]:
     sym = _parse_symbol(_require(cfg, "symbol"))
     n_grid = _as_grid(_get(cfg, "n_grid", [64, 128, 256]), "n_grid")
     delta_grid = _as_grid(
-        _get(cfg, "delta_grid", sorted(carleson.CarlesonConfig().delta_schedule)),
-        "delta_grid",
-        integer=False,
+        _get(cfg, "delta_grid", sorted(carleson.DELTA_SCHEDULE)), "delta_grid", integer=False
     )
     if delta_grid[0] <= 0.0 or delta_grid[-1] >= 1.0:
         raise ConfigError("delta_grid", "annulus widths must lie in (0, 1)")
-    xnorm_rows = []
-    for n in n_grid:
-        b = carleson.symbol_poly(sym, n)
-        v = carleson.x_norm(b, n)
-        xnorm_rows.append([n, v, v, v])
     n_top = max(n_grid)
     b_top = carleson.symbol_poly(sym, n_top)
+    # the verdict's profile is the x-norm sweep, so each x-norm Gram is built once
+    report = carleson.classify_hankel_general(b_top, n_grid)
     restr_rows = []
     for delta in delta_grid:
         r = carleson.restricted_carleson_norm(b_top, n_top, delta)
         restr_rows.append([delta, r, r, r])
-    report = carleson.classify_hankel_general(b_top, n_grid)
     curves = [
-        _curve("xnorm_vs_degree", xnorm_rows),
+        _curve("xnorm_vs_degree", _profile_rows(report.profile)),
         _curve("restricted_vs_delta", restr_rows, {"n": n_top}),
     ]
     results = {
