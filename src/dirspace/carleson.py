@@ -154,8 +154,8 @@ def classify_hankel_general(b: TaylorPoly, n_grid) -> ClassReport:
     decayed below VANISH_FRACTION of the full norm.
     """
     n_grid = [int(n) for n in n_grid]
-    if any(x2 <= x1 for x1, x2 in zip(n_grid, n_grid[1:])) or not n_grid:
-        raise ValueError("degree grid must be nonempty and strictly increasing")
+    if not n_grid or n_grid[0] < 0 or any(x2 <= x1 for x1, x2 in zip(n_grid, n_grid[1:])):
+        raise ValueError("degree grid must be nonempty, nonnegative and strictly increasing")
     values = [x_norm(b.truncate(n), n) for n in n_grid]
     profile = [ProfilePoint(n, v, v) for n, v in zip(n_grid, values)]
     notes = ["finite-test Carleson norms are lower-bound estimators; verdicts heuristic"]

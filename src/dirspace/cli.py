@@ -143,11 +143,15 @@ def _parse_classify_cfg(cfg: dict) -> criteria.ClassifyConfig:
     kwargs = {}
     if "m_grid" in sub:
         kwargs["m_grid"] = tuple(_as_grid(sub["m_grid"], "classify.m_grid"))
+        if kwargs["m_grid"][0] < 0:
+            raise ConfigError("classify.m_grid", "cutoffs must be >= 0")
     for key in ("plateau_band", "compact_factor", "divergence_cap", "bracket_rel_width"):
         if key in sub:
             kwargs[key] = _as_number(sub[key], f"classify.{key}")
     if "nmax" in sub:
         kwargs["nmax"] = _as_int(sub["nmax"], "classify.nmax")
+        if kwargs["nmax"] < 0:
+            raise ConfigError("classify.nmax", "need nmax >= 0")
     return criteria.ClassifyConfig(**kwargs)
 
 
@@ -158,9 +162,20 @@ def _parse_power(cfg: dict) -> dict:
     out = {}
     if "tol" in sub:
         out["tol"] = _as_number(sub["tol"], "power.tol")
+        if out["tol"] <= 0.0:
+            raise ConfigError("power.tol", "tolerance must be positive")
     if "max_iter" in sub:
         out["max_iter"] = _as_int(sub["max_iter"], "power.max_iter")
+        if out["max_iter"] < 1:
+            raise ConfigError("power.max_iter", "need max_iter >= 1")
     return out
+
+
+def _degree_grid(cfg: dict, default: list) -> list:
+    n_grid = _as_grid(_get(cfg, "n_grid", default), "n_grid")
+    if n_grid[0] < 0:
+        raise ConfigError("n_grid", "test degrees must be >= 0")
+    return n_grid
 
 
 def _parse_dist(cfg: dict) -> stochastic.DistTag:
@@ -216,7 +231,7 @@ def _run_classify(cfg: dict) -> tuple[dict, list]:
         if kind != "hankel":
             raise ConfigError("kind", "the carleson route classifies Hankel operators only")
         sym = _parse_symbol(cfg["symbol"])
-        n_grid = _as_grid(_get(cfg, "n_grid", [64, 128, 256, 512]), "n_grid")
+        n_grid = _degree_grid(cfg, [64, 128, 256, 512])
         report = carleson.classify_hankel_general(carleson.symbol_poly(sym, max(n_grid)), n_grid)
         curves = [_curve("xnorm_vs_degree", _profile_rows(report.profile))]
     elif has_measure:
@@ -306,7 +321,7 @@ def _run_moments(cfg: dict) -> tuple[dict, list]:
 
 def _run_carleson(cfg: dict) -> tuple[dict, list]:
     sym = _parse_symbol(_require(cfg, "symbol"))
-    n_grid = _as_grid(_get(cfg, "n_grid", [64, 128, 256]), "n_grid")
+    n_grid = _degree_grid(cfg, [64, 128, 256])
     delta_grid = _as_grid(
         _get(cfg, "delta_grid", sorted(carleson.DELTA_SCHEDULE)), "delta_grid", integer=False
     )

@@ -143,6 +143,8 @@ def widom_profile(s: SymbolSeq, m_grid, nmax: int = 2**18) -> list[ProfilePoint]
     m_grid = [int(m) for m in m_grid]
     if any(b <= a for a, b in zip(m_grid, m_grid[1:])):
         raise ValueError("cutoff grid must be strictly increasing")
+    if m_grid and m_grid[0] < 0:
+        raise ValueError("cutoff must be >= 0")
     hi = _effective_nmax(s, nmax)
     terms = _tail_terms(s, 0, hi, "widom")
     rem = s.tail_remainder(hi, "widom")

@@ -127,6 +127,8 @@ def top_singular_value(m, tol: float = 1e-10, max_iter: int | None = None):
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
+    if max_iter is not None and max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     arr = m.entries if isinstance(m, SectionMatrix) else np.asarray(m)
     if max_iter is None:
         max_iter = default_max_iter(arr.shape[0])

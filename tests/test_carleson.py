@@ -128,6 +128,13 @@ def test_classify_general_zero():
     assert classify_hankel_general(TaylorPoly([0.0]), [16, 32]).verdict == "compact"
 
 
+def test_classify_general_rejects_bad_grid():
+    b = TaylorPoly([0.0, 1.0])
+    for n_grid in ([], [16, 16], [-1, 4]):
+        with pytest.raises(ValueError, match="degree grid"):
+            classify_hankel_general(b, n_grid)
+
+
 def test_classify_general_growth_unbounded():
     b = symbol_poly(SymbolSeq.powerlog(1.0, 0.5), 512)
     rep = classify_hankel_general(b, [64, 128, 256, 512])

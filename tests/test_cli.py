@@ -95,6 +95,18 @@ def test_random_sim_rejects_zero_replicas():
         ({"command": "doublesum", "count": 5, "max_len": 1, "seed": 1}, "max_len"),
         ({"command": "doublesum", "count": 0, "max_len": 8, "seed": 1}, "count"),
         ({"command": "demo", "preset": ["x"]}, "preset"),
+        ({"command": "sections", "symbol": {"kind": "powerlog", "alpha": 1.0, "beta": 0.0},
+          "n_grid": [8], "power": {"max_iter": 0}}, "power.max_iter"),
+        ({"command": "sections", "symbol": {"kind": "powerlog", "alpha": 1.0, "beta": 0.0},
+          "n_grid": [8], "power": {"tol": 0.0}}, "power.tol"),
+        ({"command": "carleson", "symbol": {"kind": "powerlog", "alpha": 1.0, "beta": 1.0},
+          "n_grid": [-1, 4]}, "n_grid"),
+        ({"command": "classify", "route": "carleson",
+          "symbol": {"kind": "powerlog", "alpha": 1.0, "beta": 1.0}, "n_grid": [-1, 4]}, "n_grid"),
+        ({"command": "classify", "symbol": {"kind": "powerlog", "alpha": 1.0, "beta": 1.0},
+          "classify": {"m_grid": [-4, 4]}}, "classify.m_grid"),
+        ({"command": "classify", "symbol": {"kind": "powerlog", "alpha": 1.0, "beta": 1.0},
+          "classify": {"nmax": -5}}, "classify.nmax"),
     ],
 )
 def test_config_error_path(config, path):

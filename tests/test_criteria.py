@@ -108,6 +108,8 @@ def test_widom_profile_decay_for_compact_symbol():
 def test_widom_profile_rejects_bad_grid():
     with pytest.raises(ValueError):
         widom_profile(SymbolSeq.powerlog(1.0, 1.0), [16, 16], 256)
+    with pytest.raises(ValueError, match="cutoff must be >= 0"):
+        widom_profile(SymbolSeq.powerlog(1.0, 1.0), [-2, 16], 256)
 
 
 # -- classify -----------------------------------------------------------------

@@ -180,6 +180,13 @@ def test_top_singular_value_matches_numpy_svd():
         assert sigma == pytest.approx(ref, rel=1e-9)
 
 
+def test_top_singular_value_rejects_bad_iteration_settings():
+    sec = section_matrix(hilbert_symbol(), "hankel", "dirichlet-section", 8)
+    for kwargs in ({"max_iter": 0}, {"max_iter": -3}, {"tol": 0.0}):
+        with pytest.raises(ValueError):
+            top_singular_value(sec, **kwargs)
+
+
 def test_section_norm_monotone_in_n():
     s = SymbolSeq.powerlog(1.0, 1.0)
     sig = []
