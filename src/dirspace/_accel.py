@@ -31,9 +31,8 @@ def gram(c, n, w):
     rows = n + c.shape[0]
     if w.shape[0] < rows:
         raise ValueError("weight array too short for gram assembly")
-    col = np.concatenate([c, np.zeros(n, dtype=c.dtype)])
-    t = linalg.toeplitz(col, np.zeros(n + 1, dtype=c.dtype))
-    a = t * np.sqrt(w[:rows])[:, None]
+    a = linalg.toeplitz(np.concatenate([c, np.zeros(n)]), np.zeros(n + 1))
+    a *= np.sqrt(w[:rows])[:, None]
     return a.T @ a.conj()
 
 

@@ -323,7 +323,9 @@ def _run_carleson(cfg: dict) -> tuple[dict, list]:
     sym = _parse_symbol(_require(cfg, "symbol"))
     n_grid = _degree_grid(cfg, [64, 128, 256])
     delta_grid = _as_grid(
-        _get(cfg, "delta_grid", sorted(carleson.DELTA_SCHEDULE)), "delta_grid", integer=False
+        _get(cfg, "delta_grid", sorted(carleson.DELTA_SCHEDULE)),
+        "delta_grid",
+        integer=False,
     )
     if delta_grid[0] <= 0.0 or delta_grid[-1] >= 1.0:
         raise ConfigError("delta_grid", "annulus widths must lie in (0, 1)")
