@@ -151,7 +151,9 @@ def classify_hankel_general(b: TaylorPoly, n_grid) -> ClassReport:
     b is the truncation of the series with coefficients conj(lambda_n).  The
     x-norm sweep over n_grid decides growth vs saturation; saturation is
     promoted to compact when the annulus-restricted norm at VANISH_DELTA has
-    decayed below VANISH_FRACTION of the full norm.
+    decayed below VANISH_FRACTION of the full norm.  That restricted norm, at
+    the top degree n_grid[-1], is returned as ``restricted_norm`` (None for
+    the zero symbol, which needs no boundary test).
     """
     n_grid = [int(n) for n in n_grid]
     if not n_grid or n_grid[0] < 0 or any(x2 <= x1 for x1, x2 in zip(n_grid, n_grid[1:])):
@@ -172,9 +174,9 @@ def classify_hankel_general(b: TaylorPoly, n_grid) -> ClassReport:
         f"boundary fraction {vanish:.4g}"
     )
     if r_full >= GROWTH_RATIO:
-        return ClassReport("unbounded", "heuristic", profile, notes)
-    if r_last <= SATURATION_RATIO:
-        if vanish <= VANISH_FRACTION:
-            return ClassReport("compact", "heuristic", profile, notes)
-        return ClassReport("bounded", "heuristic", profile, notes)
-    return ClassReport("inconclusive", "heuristic", profile, notes)
+        verdict = "unbounded"
+    elif r_last <= SATURATION_RATIO:
+        verdict = "compact" if vanish <= VANISH_FRACTION else "bounded"
+    else:
+        verdict = "inconclusive"
+    return ClassReport(verdict, "heuristic", profile, notes, restricted)

@@ -335,7 +335,10 @@ def _run_carleson(cfg: dict) -> tuple[dict, list]:
     report = carleson.classify_hankel_general(b_top, n_grid)
     restr_rows = []
     for delta in delta_grid:
-        r = carleson.restricted_carleson_norm(b_top, n_top, delta)
+        if delta == carleson.VANISH_DELTA and report.restricted_norm is not None:
+            r = report.restricted_norm  # the verdict's boundary test, same Gram
+        else:
+            r = carleson.restricted_carleson_norm(b_top, n_top, delta)
         restr_rows.append([delta, r, r, r])
     curves = [
         _curve("xnorm_vs_degree", _profile_rows(report.profile)),

@@ -82,6 +82,9 @@ class ClassReport:
     applicability: str  # theorem-exact | heuristic
     profile: list = field(default_factory=list)
     notes: list = field(default_factory=list)
+    # Carleson route only: the annulus-restricted norm at carleson.VANISH_DELTA
+    # and at the sweep's top degree (None when the verdict did not need it)
+    restricted_norm: float | None = None
 
 
 @dataclass(frozen=True)
@@ -100,10 +103,10 @@ class ProbeReport:
     notes: list = field(default_factory=list)
 
 
-def _tail_terms(s: SymbolSeq, lo: int, hi: int, weight: str) -> np.ndarray:
-    n = np.arange(lo, hi + 1, dtype=np.int64)
-    vals = s.values(n)
-    return _weight_values(weight, n) * np.abs(vals) ** 2
+def _tail_terms(s: SymbolSeq, lo: int, hi: int, weight: str) -> tuple[np.ndarray, np.ndarray]:
+    """Indices in [lo, hi] where s can be nonzero, and their weighted terms."""
+    n = s.support_between(lo, hi)
+    return n, _weight_values(weight, n) * np.abs(s.values(n)) ** 2
 
 
 def _effective_nmax(s: SymbolSeq, nmax: int) -> int:
@@ -117,8 +120,10 @@ def weighted_tail(s: SymbolSeq, m: int, nmax: int, weight: str) -> WidomTail:
     """Partial sum over [m, nmax] plus the symbol's certified remainder."""
     if m < 0:
         raise ValueError("cutoff must be >= 0")
+    if nmax < 0:
+        raise ValueError("nmax must be >= 0")
     hi = _effective_nmax(s, nmax)
-    partial = float(np.sum(_tail_terms(s, m, hi, weight))) if m <= hi else 0.0
+    partial = float(np.sum(_tail_terms(s, m, hi, weight)[1])) if m <= hi else 0.0
     pad = _SUM_PAD * partial
     rem = s.tail_remainder(hi, weight)
     if rem.divergent:
@@ -145,14 +150,16 @@ def widom_profile(s: SymbolSeq, m_grid, nmax: int = 2**18) -> list[ProfilePoint]
         raise ValueError("cutoff grid must be strictly increasing")
     if m_grid and m_grid[0] < 0:
         raise ValueError("cutoff must be >= 0")
+    if nmax < 0:
+        raise ValueError("nmax must be >= 0")
     hi = _effective_nmax(s, nmax)
-    terms = _tail_terms(s, 0, hi, "widom")
+    n, terms = _tail_terms(s, 0, hi, "widom")
     rem = s.tail_remainder(hi, "widom")
     points = []
     for m in m_grid:
         # pairwise per-cutoff sums: cheaper-looking running sums accumulate
         # too much rounding for the certified brackets
-        partial = float(np.sum(terms[m:])) if m <= hi else 0.0
+        partial = float(np.sum(terms[np.searchsorted(n, m) :])) if m <= hi else 0.0
         pad = _SUM_PAD * partial
         scale = np.log(m + 2.0)
         if rem.divergent or not np.isfinite(rem.upper):

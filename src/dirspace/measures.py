@@ -9,10 +9,13 @@ polynomial weights such as 2t dt are expressible componentwise with positive
 coefficients.)
 
 Moments mu_n = int t^n dmu(t) use closed forms where available (atoms always;
-delta = 0 densities via the Beta function) and quadrature otherwise: an
-adaptive Gauss-Kronrod route for single moments, with the substitution
-u = (1-t)^(gamma+1) removing the endpoint singularity when gamma in (-1, 0),
-and a dyadically graded fixed Gauss-Legendre rule for moment batches.
+delta = 0 densities via the Beta function) and otherwise one fixed quadrature
+rule: Gauss-Legendre on dyadic panels graded towards t = 1, in the variable
+u = (1-t)^(gamma+1) when gamma in (-1, 0) so that the endpoint singularity is
+removed.  A batch of indices is one blocked product: writing n = qB + r with
+the block length B = _BLOCK, t^n = t^(qB) t^r, so the moments of all indices
+in the batch are entries of (t^(qB) w) @ (t^r)^T, a matrix product with one
+exp row per distinct block q and one per distinct offset r.
 """
 
 from __future__ import annotations
@@ -20,10 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 _GRADE_LEVELS = 80  # dyadic panels down to widths 2^-80
+_BLOCK = 256  # index block length B of the factored product t^(qB) t^r
 
 
 @dataclass(frozen=True)
@@ -117,16 +121,10 @@ class MeasureSpec:
         """mu_n = sum of atom and density contributions (single index)."""
         if n < 0:
             raise ValueError("moment index must be >= 0")
-        total = sum(mass * loc**n for loc, mass in self.atoms)
-        for d in self.densities:
-            if d.delta == 0.0:
-                total += d.c * np.exp(special.betaln(n + d.kappa + 1.0, d.gamma + 1.0))
-            else:
-                total += _density_moment_adaptive(d, n)
-        return float(total)
+        return float(self.moments([n])[0])
 
     def moments(self, indices) -> np.ndarray:
-        """Vectorized moments; same closed forms, batched quadrature."""
+        """Moments at any array of indices (unsorted, repeated or sparse)."""
         n = np.atleast_1d(np.asarray(indices, dtype=np.int64))
         if np.any(n < 0):
             raise ValueError("moment indices must be >= 0")
@@ -178,39 +176,6 @@ def classify_measure(spec: MeasureSpec, kind: str, cfg=None):
 # ---------------------------------------------------------------------------
 
 
-def _density_moment_adaptive(d: Density, n: int) -> float:
-    """Adaptive quadrature for one moment of one density (delta != 0).
-
-    Integrands are written in terms of the distance to the endpoint so that
-    t rounding to 1.0 near the singularity cannot poison the log factor.
-    """
-    if d.gamma < 0.0:
-        # u = (1-t)^(gamma+1) removes the algebraic endpoint singularity
-        g1 = d.gamma + 1.0
-
-        def f(u):
-            if u <= 0.0:
-                return 0.0
-            one_minus_t = u ** (1.0 / g1)
-            log_t = np.log1p(-one_minus_t)
-            log_factor = 1.0 - np.log(u) / g1
-            return np.exp((n + d.kappa) * log_t) * log_factor ** (-d.delta) / g1
-
-        val, _ = integrate.quad(f, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=300)
-    else:
-        # u = 1 - t
-        def f(u):
-            if u <= 0.0:
-                return 0.0
-            log_t = np.log1p(-u)
-            log_factor = 1.0 - np.log(u)
-            return np.exp((n + d.kappa) * log_t) * u**d.gamma * log_factor ** (-d.delta)
-
-        peak = 1.0 / (n + 2.0)
-        val, _ = integrate.quad(f, 0.0, 1.0, points=[peak], epsabs=1e-13, epsrel=1e-13, limit=300)
-    return d.c * val
-
-
 def _graded_rule(d: Density):
     """log(t) nodes and weights (density included) for batch moments.
 
@@ -245,14 +210,23 @@ _RULE_CACHE: dict = {}
 
 
 def _density_moments_graded(d: Density, n: np.ndarray) -> np.ndarray:
+    """Graded-rule moments of one density at the indices n, as one GEMM.
+
+    Each index is split as n = qB + r; the product of the block heads
+    t^(qB) w (one row per distinct q) with the offset powers t^r (one row
+    per r between the smallest and largest offset) holds every moment of the
+    batch, and the indices gather their entries from it by (q, r).
+    """
     key = (d.c, d.gamma, d.delta, d.kappa)
     if key not in _RULE_CACHE:
         _RULE_CACHE[key] = _graded_rule(d)
     log_t, w = _RULE_CACHE[key]
-    out = np.empty(n.shape, dtype=np.float64)
-    chunk = 4096
-    for i in range(0, n.shape[0], chunk):
-        block = n[i : i + chunk].astype(np.float64)
-        with np.errstate(under="ignore"):
-            out[i : i + chunk] = np.exp(block[:, None] * log_t[None, :]) @ w
-    return out
+    q, r = np.divmod(n, _BLOCK)
+    blocks, row = np.unique(q, return_inverse=True)
+    r_lo, r_hi = (int(r.min()), int(r.max())) if n.size else (0, -1)
+    offsets = np.arange(r_lo, r_hi + 1, dtype=np.float64)
+    with np.errstate(under="ignore"):
+        heads = np.exp(np.multiply.outer((blocks * _BLOCK).astype(np.float64), log_t)) * w
+        powers = np.exp(np.multiply.outer(offsets, log_t))
+        table = heads @ powers.T
+    return table[row.reshape(n.shape), r - r_lo]

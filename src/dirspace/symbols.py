@@ -195,6 +195,18 @@ class SymbolSeq:
             return x * base_vals
         raise AssertionError(f"unhandled kind {self.kind}")
 
+    def support_between(self, lo: int, hi: int) -> np.ndarray:
+        """Increasing indices in [lo, hi] that hold every nonzero value there:
+        the stored support of explicit and lacunary symbols, all of [lo, hi]
+        for the other kinds."""
+        if self.kind == "explicit":
+            return np.arange(lo, min(hi, self.params["values"].shape[0] - 1) + 1, dtype=np.int64)
+        if self.kind == "lacunary":
+            self._extend_support(hi)
+            support = self.params["support"]
+            return support[np.searchsorted(support, lo) : np.searchsorted(support, hi, side="right")]
+        return np.arange(lo, hi + 1, dtype=np.int64)
+
     def value(self, n: int) -> complex:
         return complex(self.values(np.array([n]))[0])
 

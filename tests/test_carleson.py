@@ -3,6 +3,7 @@ import pytest
 
 from conftest import quad_gram_entry, random_poly
 from dirspace.carleson import (
+    VANISH_DELTA,
     classify_hankel_general,
     finite_test_carleson_norm,
     mixed_norm,
@@ -125,7 +126,9 @@ def test_mixed_norm_even_p_against_coefficients():
 
 
 def test_classify_general_zero():
-    assert classify_hankel_general(TaylorPoly([0.0]), [16, 32]).verdict == "compact"
+    rep = classify_hankel_general(TaylorPoly([0.0]), [16, 32])
+    assert rep.verdict == "compact"
+    assert rep.restricted_norm is None
 
 
 def test_classify_general_rejects_bad_grid():
@@ -156,6 +159,7 @@ def test_classify_general_lacunary_saturates_with_boundary_decay():
     rep = classify_hankel_general(b, [64, 128, 256, 512])
     vals = [p.midpoint for p in rep.profile]
     assert vals[-1] / vals[-2] <= 1.02  # saturation
+    assert rep.restricted_norm == restricted_carleson_norm(b.truncate(512), 512, VANISH_DELTA)
     # restricted norms decay across the delta schedule at the top degree
     restr = [restricted_carleson_norm(b.truncate(512), 512, d) for d in (2.0**-3, 2.0**-5, 2.0**-7)]
     assert restr[0] > restr[1] > restr[2]

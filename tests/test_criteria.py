@@ -110,6 +110,32 @@ def test_widom_profile_rejects_bad_grid():
         widom_profile(SymbolSeq.powerlog(1.0, 1.0), [16, 16], 256)
     with pytest.raises(ValueError, match="cutoff must be >= 0"):
         widom_profile(SymbolSeq.powerlog(1.0, 1.0), [-2, 16], 256)
+    with pytest.raises(ValueError, match="nmax must be >= 0"):
+        widom_profile(SymbolSeq.powerlog(1.0, 1.0), [4, 8], -5)
+    with pytest.raises(ValueError, match="nmax must be >= 0"):
+        widom_tail(SymbolSeq.powerlog(1.0, 1.0), 4, nmax=-5)
+    with pytest.raises(ValueError, match="nmax must be >= 0"):
+        dirichlet_membership(SymbolSeq.powerlog(1.0, 1.0), nmax=-5)
+
+
+@pytest.mark.parametrize(
+    "sym",
+    [SymbolSeq.lacunary_rule(1, 2.0, 0.75, 0.5), SymbolSeq.lacunary([3, 9, 40], [1.0, -0.5, 0.25j]),
+     SymbolSeq.explicit([1.0, 0.5, 0.25])],
+)
+def test_sparse_symbol_tails_read_only_the_support(sym, monkeypatch):
+    nmax = 2**18
+    n = np.arange(nmax + 1)
+    dense = n * np.abs(sym.values(n)) ** 2
+    seen = []
+    values = SymbolSeq.values
+    monkeypatch.setattr(SymbolSeq, "values", lambda self, idx: seen.append(len(idx)) or values(self, idx))
+    tail = widom_tail(sym, 4, nmax)
+    pts = widom_profile(sym, [0, 4, 16, 64], nmax)
+    assert max(seen) <= 64
+    assert tail.lower <= np.sum(dense[4:]) <= tail.upper
+    for p in pts:
+        assert p.lower <= np.sum(dense[p.m :]) * np.log(p.m + 2.0) <= p.upper
 
 
 # -- classify -----------------------------------------------------------------
