@@ -15,7 +15,7 @@ u = (1-t)^(gamma+1) when gamma in (-1, 0) so that the endpoint singularity is
 removed.  A batch of indices is one blocked product: writing n = qB + r with
 the block length B = _BLOCK, t^n = t^(qB) t^r, so the moments of all indices
 in the batch are entries of (t^(qB) w) @ (t^r)^T, a matrix product with one
-exp row per distinct block q and one per distinct offset r.
+exp row per distinct block q and one per offset r in the batch's range.
 """
 
 from __future__ import annotations
@@ -119,8 +119,6 @@ class MeasureSpec:
 
     def moment(self, n: int) -> float:
         """mu_n = sum of atom and density contributions (single index)."""
-        if n < 0:
-            raise ValueError("moment index must be >= 0")
         return float(self.moments([n])[0])
 
     def moments(self, indices) -> np.ndarray:
