@@ -136,7 +136,7 @@ _EDGES = [_B - 1, _B, _B + 1, 2 * _B - 1, 2 * _B, 2**18 - 1, 2**18, 2**18 + 1, 2
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(
     gamma=st.floats(-0.99, 1.99),
-    delta=st.floats(0.01, 3.0),
+    delta=st.floats(0.0, 3.0, exclude_min=True),
     kappa=st.sampled_from([0.0, 1.0]),
     picks=st.lists(st.integers(0, 2**20), min_size=0, max_size=40),
     edges=st.lists(st.sampled_from(_EDGES), min_size=0, max_size=6),
