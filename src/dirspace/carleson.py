@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _accel
 from .coeffspace import TaylorPoly, weight_sequence
-from .criteria import ClassReport, ProfilePoint
+from .criteria import ClassReport, WidomTail
 from .operators import default_max_iter, top_singular_value
 
 # the x-norm of a borderline-unbounded symbol grows additively in log N,
@@ -159,7 +159,7 @@ def classify_hankel_general(b: TaylorPoly, n_grid) -> ClassReport:
     if not n_grid or n_grid[0] < 0 or any(x2 <= x1 for x1, x2 in zip(n_grid, n_grid[1:])):
         raise ValueError("degree grid must be nonempty, nonnegative and strictly increasing")
     values = [x_norm(b.truncate(n), n) for n in n_grid]
-    profile = [ProfilePoint(n, v, v) for n, v in zip(n_grid, values)]
+    profile = [WidomTail(n, v, v) for n, v in zip(n_grid, values)]
     notes = ["finite-test Carleson norms are lower-bound estimators; verdicts heuristic"]
     if values[-1] == 0.0:
         notes.append("zero symbol: zero operator")

@@ -37,8 +37,8 @@ increasing):
     replicas    random-sim replica count
     count/max_len  doublesum battery size
     seed/stream    required for stochastic commands
-    classify    optional overrides {"m_grid", "nmax", "plateau_band",
-                "compact_factor", "divergence_cap", "bracket_rel_width"}
+    classify    optional overrides {"m_grid", "nmax"}; the verdict thresholds
+                are constants of criteria.py
     power       optional {"tol": f, "max_iter": int} for norm estimates
     preset      demo only; one of the twelve check names in checks.py
                 (e.g. "hilbert", "widom-ladder") or "all"
@@ -145,9 +145,6 @@ def _parse_classify_cfg(cfg: dict) -> criteria.ClassifyConfig:
         kwargs["m_grid"] = tuple(_as_grid(sub["m_grid"], "classify.m_grid"))
         if kwargs["m_grid"][0] < 0:
             raise ConfigError("classify.m_grid", "cutoffs must be >= 0")
-    for key in ("plateau_band", "compact_factor", "divergence_cap", "bracket_rel_width"):
-        if key in sub:
-            kwargs[key] = _as_number(sub[key], f"classify.{key}")
     if "nmax" in sub:
         kwargs["nmax"] = _as_int(sub["nmax"], "classify.nmax")
         if kwargs["nmax"] < 0:

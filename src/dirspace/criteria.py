@@ -30,50 +30,18 @@ import numpy as np
 
 from . import operators
 from .coeffspace import kernel_degree_for_tail, normalized_kernel_coeffs, space_norm
-from .symbols import _SUM_PAD, SymbolSeq, _weight_values
+from .symbols import _SUM_PAD, MONOTONE_DECREASING, SymbolSeq, WidomTail, _weight_values
 
-MONOTONE_DECREASING = "decreasing-positive"
-
-
-@dataclass(frozen=True)
-class WidomTail:
-    """Bracket for S(m) = sum_{n >= m} n |lambda_n|^2 (or its n+1 variant)."""
-
-    m: int
-    lower: float
-    upper: float  # +inf marker when divergent or uncertified
-    divergent: bool = False
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lower + self.upper) if np.isfinite(self.upper) else np.inf
-
-    @property
-    def certified(self) -> bool:
-        return np.isfinite(self.upper)
-
-
-@dataclass(frozen=True)
-class ProfilePoint:
-    """Bracket of the normalized tail S(m) * log(m+2) at one cutoff."""
-
-    m: int
-    lower: float
-    upper: float
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lower + self.upper) if np.isfinite(self.upper) else np.inf
+PLATEAU_BAND = 0.15  # bounded: profile ratios within [1 -, 1 +] this band
+COMPACT_FACTOR = 0.5  # compact: full-grid profile decay factor
+DIVERGENCE_CAP = 10.0  # uncertified symbols: unbounded past this
+BRACKET_REL_WIDTH = 0.05  # max relative bracket width for verdicts
 
 
 @dataclass(frozen=True)
 class ClassifyConfig:
     m_grid: tuple = tuple(2**j for j in range(4, 15))
     nmax: int = 2**18
-    plateau_band: float = 0.15  # bounded: tail ratio within [1 -, 1 +] this band
-    compact_factor: float = 0.5  # compact: full-grid midpoint decay factor
-    divergence_cap: float = 10.0  # uncertified symbols: unbounded past this
-    bracket_rel_width: float = 0.05  # max relative bracket width for verdicts
 
 
 @dataclass
@@ -103,76 +71,49 @@ class ProbeReport:
     notes: list = field(default_factory=list)
 
 
-def _tail_terms(s: SymbolSeq, lo: int, hi: int, weight: str) -> tuple[np.ndarray, np.ndarray]:
-    """Indices in [lo, hi] where s can be nonzero, and their weighted terms."""
-    n = s.support_between(lo, hi)
-    return n, _weight_values(weight, n) * np.abs(s.values(n)) ** 2
-
-
-def _effective_nmax(s: SymbolSeq, nmax: int) -> int:
-    bound = s.finite_support_bound
-    if bound is not None:
-        return max(nmax, bound)
-    return nmax
-
-
-def weighted_tail(s: SymbolSeq, m: int, nmax: int, weight: str) -> WidomTail:
-    """Partial sum over [m, nmax] plus the symbol's certified remainder."""
-    if m < 0:
+def _tail_brackets(s: SymbolSeq, m_grid, nmax: int, weight: str) -> list[WidomTail]:
+    """Brackets of sum_{n >= m} w(n) |lambda_n|^2 at each cutoff of an
+    increasing grid: the partial sum over [m, hi], padded by _SUM_PAD, plus the
+    symbol's remainder beyond hi = max(nmax, last index that can be nonzero)."""
+    m_grid = [int(m) for m in m_grid]
+    if not m_grid or any(b <= a for a, b in zip(m_grid, m_grid[1:])):
+        raise ValueError("cutoff grid must be nonempty and strictly increasing")
+    if m_grid[0] < 0:
         raise ValueError("cutoff must be >= 0")
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    hi = _effective_nmax(s, nmax)
-    partial = float(np.sum(_tail_terms(s, m, hi, weight)[1])) if m <= hi else 0.0
-    pad = _SUM_PAD * partial
+    hi = max(nmax, s.finite_support_bound or 0)
+    n = s.support_between(m_grid[0], hi)
+    terms = _weight_values(weight, n) * np.abs(s.values(n)) ** 2
     rem = s.tail_remainder(hi, weight)
-    if rem.divergent:
-        return WidomTail(m, max(partial - pad, 0.0), np.inf, divergent=True)
-    upper = partial + pad + rem.upper  # inf when uncertified
-    return WidomTail(m, max(partial - pad + rem.lower, 0.0), upper)
+    brackets = []
+    for m in m_grid:
+        # pairwise per-cutoff sums: cheaper-looking running sums accumulate
+        # too much rounding for the certified brackets
+        partial = float(np.sum(terms[np.searchsorted(n, m) :]))
+        pad = _SUM_PAD * partial
+        lower = max(partial - pad + rem.lower, 0.0)
+        brackets.append(WidomTail(m, lower, partial + pad + rem.upper, rem.divergent))
+    return brackets
 
 
 def widom_tail(s: SymbolSeq, m: int, nmax: int = 2**18) -> WidomTail:
     """Bracket for S(m) = sum_{n >= m} n |lambda_n|^2."""
-    return weighted_tail(s, m, nmax, "widom")
+    return _tail_brackets(s, [m], nmax, "widom")[0]
 
 
 def dirichlet_membership(s: SymbolSeq, nmax: int = 2**18) -> WidomTail:
     """Bracket for sum_n (n+1) |lambda_n|^2 (finite iff h_lambda lies in the
     Dirichlet space)."""
-    return weighted_tail(s, 0, nmax, "membership")
+    return _tail_brackets(s, [0], nmax, "membership")[0]
 
 
-def widom_profile(s: SymbolSeq, m_grid, nmax: int = 2**18) -> list[ProfilePoint]:
+def widom_profile(s: SymbolSeq, m_grid, nmax: int = 2**18) -> list[WidomTail]:
     """Brackets of S(m) * log(m+2) over an increasing grid of cutoffs."""
-    m_grid = [int(m) for m in m_grid]
-    if any(b <= a for a, b in zip(m_grid, m_grid[1:])):
-        raise ValueError("cutoff grid must be strictly increasing")
-    if m_grid and m_grid[0] < 0:
-        raise ValueError("cutoff must be >= 0")
-    if nmax < 0:
-        raise ValueError("nmax must be >= 0")
-    hi = _effective_nmax(s, nmax)
-    n, terms = _tail_terms(s, 0, hi, "widom")
-    rem = s.tail_remainder(hi, "widom")
-    points = []
-    for m in m_grid:
-        # pairwise per-cutoff sums: cheaper-looking running sums accumulate
-        # too much rounding for the certified brackets
-        partial = float(np.sum(terms[np.searchsorted(n, m) :])) if m <= hi else 0.0
-        pad = _SUM_PAD * partial
-        scale = np.log(m + 2.0)
-        if rem.divergent or not np.isfinite(rem.upper):
-            points.append(ProfilePoint(m, max(partial - pad, 0.0) * scale, np.inf))
-        else:
-            points.append(
-                ProfilePoint(
-                    m,
-                    max(partial - pad + rem.lower, 0.0) * scale,
-                    (partial + pad + rem.upper) * scale,
-                )
-            )
-    return points
+    return [
+        WidomTail(t.m, t.lower * np.log(t.m + 2.0), t.upper * np.log(t.m + 2.0), t.divergent)
+        for t in _tail_brackets(s, m_grid, nmax, "widom")
+    ]
 
 
 def classify(s: SymbolSeq, kind: str, cfg: ClassifyConfig | None = None) -> ClassReport:
@@ -198,17 +139,15 @@ def classify(s: SymbolSeq, kind: str, cfg: ClassifyConfig | None = None) -> Clas
         applicability = "theorem-exact"
 
     profile = widom_profile(s, cfg.m_grid, cfg.nmax)
-    rem_divergent = s.tail_remainder(_effective_nmax(s, cfg.nmax), "widom").divergent
-    if rem_divergent:
+    if any(p.divergent for p in profile):
         notes.append("tail sum diverges by term comparison")
         return ClassReport("unbounded", applicability, profile, notes)
 
-    certified = all(np.isfinite(p.upper) for p in profile)
-    if not certified:
-        if max(p.lower for p in profile) > cfg.divergence_cap:
+    if not all(p.certified for p in profile):
+        if max(p.lower for p in profile) > DIVERGENCE_CAP:
             notes.append(
                 "remainder not certifiable for this symbol kind; partial sums "
-                f"already exceed the cap {cfg.divergence_cap}"
+                f"already exceed the cap {DIVERGENCE_CAP}"
             )
             return ClassReport("unbounded", applicability, profile, notes)
         notes.append("remainder not certifiable for this symbol kind")
@@ -220,7 +159,7 @@ def classify(s: SymbolSeq, kind: str, cfg: ClassifyConfig | None = None) -> Clas
         return ClassReport("compact", applicability, profile, notes)
 
     widths_ok = all(
-        (p.upper - p.lower) <= cfg.bracket_rel_width * max(p.midpoint, 1e-300)
+        (p.upper - p.lower) <= BRACKET_REL_WIDTH * max(p.midpoint, 1e-300)
         for p in profile[-3:]
     )
     r_full = mids[-1] / mids[0] if mids[0] > 0 else 0.0
@@ -228,10 +167,10 @@ def classify(s: SymbolSeq, kind: str, cfg: ClassifyConfig | None = None) -> Clas
     # decay certified outright when even the worst-case bracket ends decay
     # enough; wide brackets then cannot hide a plateau
     r_certified = profile[-1].upper / profile[0].lower if profile[0].lower > 0 else np.inf
-    decay_ok = r_certified <= cfg.compact_factor or (widths_ok and r_full <= cfg.compact_factor)
+    decay_ok = r_certified <= COMPACT_FACTOR or (widths_ok and r_full <= COMPACT_FACTOR)
     if decay_ok and r_tail <= 1.0:
         return ClassReport("compact", applicability, profile, notes)
-    if widths_ok and abs(r_tail - 1.0) <= cfg.plateau_band:
+    if widths_ok and abs(r_tail - 1.0) <= PLATEAU_BAND:
         return ClassReport("bounded", applicability, profile, notes)
     if not widths_ok:
         notes.append("bracket widths too large for a verdict at this truncation")

@@ -34,12 +34,17 @@ _SUM_PAD = 64.0 * np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
-class TailBracket:
-    """Bracket for a weighted tail sum beyond a truncation index."""
+class WidomTail:
+    """Bracket for a weighted tail sum_{n >= m} w(n) |lambda_n|^2."""
 
+    m: int
     lower: float
-    upper: float  # inf when the remainder is not certified
+    upper: float  # inf when divergent or not certified
     divergent: bool = False
+
+    @property
+    def midpoint(self) -> float:
+        return 0.5 * (self.lower + self.upper) if np.isfinite(self.upper) else np.inf
 
     @property
     def certified(self) -> bool:
@@ -252,8 +257,8 @@ class SymbolSeq:
 
     # -- tail brackets ------------------------------------------------------
 
-    def tail_remainder(self, nmax: int, weight: str = "widom") -> TailBracket:
-        """Bracket for sum_{n > nmax} w(n) |lambda_n|^2.
+    def tail_remainder(self, nmax: int, weight: str = "widom") -> WidomTail:
+        """Bracket for sum_{n > nmax} w(n) |lambda_n|^2 (cutoff m = nmax + 1).
 
         weight = 'widom' uses w(n) = n, 'membership' uses w(n) = n + 1.
         """
@@ -262,13 +267,13 @@ class SymbolSeq:
         bound = self.finite_support_bound
         if bound is not None:
             if bound <= nmax:
-                return TailBracket(0.0, 0.0)
+                return WidomTail(nmax + 1, 0.0, 0.0)
             # finite symbol with support past nmax: sum the leftover exactly
             n = np.arange(nmax + 1, bound + 1)
             vals = self.values(n)
             rest = float(np.sum(_weight_values(weight, n) * np.abs(vals) ** 2))
             pad = _SUM_PAD * rest
-            return TailBracket(max(rest - pad, 0.0), rest + pad)
+            return WidomTail(nmax + 1, max(rest - pad, 0.0), rest + pad)
         if self.kind == "powerlog":
             return _powerlog_tail(self.params, nmax, weight)
         if self.kind == "moments":
@@ -276,7 +281,7 @@ class SymbolSeq:
         if self.kind == "lacunary":
             return self._lacunary_rule_tail(nmax, weight)
         # randomized and other kinds: not certified
-        return TailBracket(0.0, np.inf)
+        return WidomTail(nmax + 1, 0.0, np.inf)
 
     # -- internals ----------------------------------------------------------
 
@@ -309,14 +314,14 @@ class SymbolSeq:
             self.params["support"] = np.concatenate([support, np.array(new_s, dtype=np.int64)])
             self.params["values"] = np.concatenate([vals, np.array(new_v)])
 
-    def _lacunary_rule_tail(self, nmax: int, weight: str) -> TailBracket:
+    def _lacunary_rule_tail(self, nmax: int, weight: str) -> WidomTail:
         rule = self.params["rule"]
         if rule is None:  # finite symbol, handled by finite_support_bound path
-            return TailBracket(0.0, 0.0)
+            return WidomTail(nmax + 1, 0.0, 0.0)
         rho, p, scale = rule["decay"], rule["power"], rule["scale"]
         q = self.params["q"]
         if rho < 0.5 or (rho == 0.5 and p <= 0.5):
-            return TailBracket(0.0, np.inf, divergent=True)
+            return WidomTail(nmax + 1, 0.0, np.inf, divergent=True)
         self._extend_support(nmax)
         support = self.params["support"]
         k0 = int(np.searchsorted(support, nmax, side="right"))
@@ -334,7 +339,7 @@ class SymbolSeq:
             tail_k = kk ** (1.0 - 2.0 * p) / (2.0 * p - 1.0)
             head = (k0 + 1.0) ** (-2.0 * p) if k0 == 0 else 0.0
             upper = scale**2 * (1.0 + 1.0 / m0) * (tail_k + head)
-        return TailBracket(0.0, float(upper))
+        return WidomTail(nmax + 1, 0.0, float(upper))
 
 
 def _lacunary_ratio(support: np.ndarray) -> float:
@@ -347,17 +352,17 @@ def _rule_value(rule: dict, n_k: int, k: int) -> float:
     return rule["scale"] * float(n_k) ** (-rule["decay"]) * (k + 1.0) ** (-rule["power"])
 
 
-def _powerlog_tail(params: dict, nmax: int, weight: str) -> TailBracket:
+def _powerlog_tail(params: dict, nmax: int, weight: str) -> WidomTail:
     """Integral-comparison bracket for sum_{n>N} w(n) lambda_n^2,
     lambda_n = scale (n+1)^(-alpha) log(n+2)^(-beta)."""
     a, b, scale = params["alpha"], params["beta"], params["scale"]
     s2 = scale * scale
     n = float(nmax)
     if a < 1.0 or (a == 1.0 and b <= 0.5):
-        return TailBracket(0.0, np.inf, divergent=True)
+        return WidomTail(nmax + 1, 0.0, np.inf, divergent=True)
     if b < 0.0:
         # growing log factor: certification not implemented
-        return TailBracket(0.0, np.inf)
+        return WidomTail(nmax + 1, 0.0, np.inf)
     if a == 1.0:
         # terms w(n) (n+1)^(-2) L^(-2b) with L = log(n+2); 2b > 1 here
         c = 2.0 * b - 1.0
@@ -366,33 +371,31 @@ def _powerlog_tail(params: dict, nmax: int, weight: str) -> TailBracket:
             lower = s2 * (1.0 - (n + 2.0) ** (-2.0)) * np.log(n + 3.0) ** (-c) / c
         else:
             lower = s2 * np.log(n + 3.0) ** (-c) / c
-        return TailBracket(float(lower), float(upper))
+        return WidomTail(nmax + 1, float(lower), float(upper))
     # a > 1, b >= 0: w(n) lambda_n^2 <= (n+1)^(1-2a) log(N+3)^(-2b)
     upper = s2 * np.log(n + 3.0) ** (-2.0 * b) * (n + 1.0) ** (2.0 - 2.0 * a) / (2.0 * a - 2.0)
-    return TailBracket(0.0, float(upper))
+    return WidomTail(nmax + 1, 0.0, float(upper))
 
 
-def _moments_tail(measure, nmax: int, weight: str) -> TailBracket:
+def _moments_tail(measure, nmax: int, weight: str) -> WidomTail:
     """Tail bracket for a moment symbol.
 
     Atom-only measures (support supremum < 1) admit an exact closed form via
     sum_{n>N} w(n) x^n over products of atom locations; measures with a
-    density component reach up to t = 1 and are not certified.
+    density component (c > 0) reach up to t = 1 and are not certified.
     """
-    if measure.has_density or measure.support_sup >= 1.0:
-        if measure.total_mass == 0.0:
-            return TailBracket(0.0, 0.0)
-        return TailBracket(0.0, np.inf)
+    if measure.has_density:
+        return WidomTail(nmax + 1, 0.0, np.inf)
     atoms = measure.atoms
     if not atoms:
-        return TailBracket(0.0, 0.0)
+        return WidomTail(nmax + 1, 0.0, 0.0)
     total = 0.0
     for loc_j, mass_j in atoms:
         for loc_i, mass_i in atoms:
             x = loc_j * loc_i
             total += mass_j * mass_i * _geom_tail(x, nmax, weight)
     pad = _SUM_PAD * total
-    return TailBracket(max(total - pad, 0.0), total + pad)
+    return WidomTail(nmax + 1, max(total - pad, 0.0), total + pad)
 
 
 def _geom_tail(x: float, nmax: int, weight: str) -> float:
