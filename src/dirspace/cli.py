@@ -37,9 +37,10 @@ increasing):
     replicas    random-sim replica count
     count/max_len  doublesum battery size
     seed/stream    required for stochastic commands
-    classify    optional overrides {"m_grid", "nmax"}; the verdict thresholds
-                are constants of criteria.py
-    power       optional {"tol": f, "max_iter": int} for norm estimates
+    classify    optional {"m_grid": [int...], "nmax": int}, nothing else;
+                the verdict thresholds are constants of criteria.py
+    power       optional {"tol": f, "max_iter": int} for norm estimates,
+                nothing else
     preset      demo only; one of the twelve check names in checks.py
                 (e.g. "hilbert", "widom-ladder") or "all"
 
@@ -136,10 +137,19 @@ def _parse_kind(cfg: dict) -> str:
     return kind
 
 
-def _parse_classify_cfg(cfg: dict) -> criteria.ClassifyConfig:
-    sub = _get(cfg, "classify", {})
+def _sub_config(cfg: dict, key: str, fields: tuple) -> dict:
+    """The optional object cfg[key]; a field outside ``fields`` is an error."""
+    sub = _get(cfg, key, {})
     if not isinstance(sub, dict):
-        raise ConfigError("classify", "expected an object")
+        raise ConfigError(key, "expected an object")
+    for name in sub:
+        if name not in fields:
+            raise ConfigError(f"{key}.{name}", f"unknown field; expected one of {list(fields)}")
+    return sub
+
+
+def _parse_classify_cfg(cfg: dict) -> criteria.ClassifyConfig:
+    sub = _sub_config(cfg, "classify", ("m_grid", "nmax"))
     kwargs = {}
     if "m_grid" in sub:
         kwargs["m_grid"] = tuple(_as_grid(sub["m_grid"], "classify.m_grid"))
@@ -153,9 +163,7 @@ def _parse_classify_cfg(cfg: dict) -> criteria.ClassifyConfig:
 
 
 def _parse_power(cfg: dict) -> dict:
-    sub = _get(cfg, "power", {})
-    if not isinstance(sub, dict):
-        raise ConfigError("power", "expected an object")
+    sub = _sub_config(cfg, "power", ("tol", "max_iter"))
     out = {}
     if "tol" in sub:
         out["tol"] = _as_number(sub["tol"], "power.tol")

@@ -59,7 +59,6 @@ class MeasureSpec:
             if mass <= 0.0:
                 raise ValueError("atom masses must be positive")
         self.densities = [d if isinstance(d, Density) else Density(**d) for d in densities]
-        self._nodes = None  # lazily built quadrature rule for moment batches
 
     # -- structure ----------------------------------------------------------
 

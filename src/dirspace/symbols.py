@@ -44,7 +44,7 @@ class WidomTail:
 
     @property
     def midpoint(self) -> float:
-        return 0.5 * (self.lower + self.upper) if np.isfinite(self.upper) else np.inf
+        return 0.5 * (self.lower + self.upper)  # inf when upper is
 
     @property
     def certified(self) -> bool:
@@ -316,8 +316,6 @@ class SymbolSeq:
 
     def _lacunary_rule_tail(self, nmax: int, weight: str) -> WidomTail:
         rule = self.params["rule"]
-        if rule is None:  # finite symbol, handled by finite_support_bound path
-            return WidomTail(nmax + 1, 0.0, 0.0)
         rho, p, scale = rule["decay"], rule["power"], rule["scale"]
         q = self.params["q"]
         if rho < 0.5 or (rho == 0.5 and p <= 0.5):
@@ -386,12 +384,9 @@ def _moments_tail(measure, nmax: int, weight: str) -> WidomTail:
     """
     if measure.has_density:
         return WidomTail(nmax + 1, 0.0, np.inf)
-    atoms = measure.atoms
-    if not atoms:
-        return WidomTail(nmax + 1, 0.0, 0.0)
     total = 0.0
-    for loc_j, mass_j in atoms:
-        for loc_i, mass_i in atoms:
+    for loc_j, mass_j in measure.atoms:
+        for loc_i, mass_i in measure.atoms:
             x = loc_j * loc_i
             total += mass_j * mass_i * _geom_tail(x, nmax, weight)
     pad = _SUM_PAD * total

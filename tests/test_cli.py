@@ -107,6 +107,12 @@ def test_random_sim_rejects_zero_replicas():
           "classify": {"m_grid": [-4, 4]}}, "classify.m_grid"),
         ({"command": "classify", "symbol": {"kind": "powerlog", "alpha": 1.0, "beta": 1.0},
           "classify": {"nmax": -5}}, "classify.nmax"),
+        ({"command": "classify", "symbol": {"kind": "powerlog", "alpha": 1.0, "beta": 1.0},
+          "classify": {"nmaxx": 1024}}, "classify.nmaxx"),
+        ({"command": "classify", "symbol": {"kind": "powerlog", "alpha": 1.0, "beta": 1.0},
+          "classify": {"plateau_band": 0.2}}, "classify.plateau_band"),
+        ({"command": "sections", "symbol": {"kind": "powerlog", "alpha": 1.0, "beta": 0.0},
+          "n_grid": [8], "power": {"maxiter": 10}}, "power.maxiter"),
     ],
 )
 def test_config_error_path(config, path):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from conftest import seeded_uniforms
 from dirspace.criteria import (
+    ClassifyConfig,
     classify,
     dirichlet_membership,
     double_sum_ratio,
@@ -138,6 +141,41 @@ def test_sparse_symbol_tails_read_only_the_support(sym, monkeypatch):
         assert p.lower <= np.sum(dense[p.m :]) * np.log(p.m + 2.0) <= p.upper
 
 
+def _symbols():
+    powerlog = st.builds(SymbolSeq.powerlog, st.floats(1.0, 2.0), st.floats(0.6, 2.0))
+    lacunary = st.builds(
+        SymbolSeq.lacunary_rule, st.integers(1, 8), st.floats(1.5, 4.0), st.floats(0.3, 2.0), st.floats(0.0, 2.0)
+    )
+    explicit = st.builds(
+        SymbolSeq.explicit, st.lists(st.floats(-1.0, 1.0, allow_subnormal=False), min_size=1, max_size=300)
+    )
+    return st.one_of(powerlog, lacunary, explicit)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(
+    sym=_symbols(),
+    nmax=st.integers(0, 2048),
+    m_grid=st.lists(st.integers(0, 4096), min_size=1, max_size=6, unique=True).map(sorted),
+)
+def test_tail_brackets_agree_across_entry_points(sym, nmax, m_grid):
+    # the profile is the per-cutoff tail scaled by log(m+2), lower ends do not
+    # increase in m, and a deeper truncation's bracket meets the shallow one
+    profile = widom_profile(sym, m_grid, nmax)
+    tails = [widom_tail(sym, m, nmax) for m in m_grid]
+    for p, t in zip(profile, tails):
+        scale = np.log(t.m + 2.0)
+        assert p.m == t.m and p.divergent == t.divergent
+        for got, want in ((p.lower, t.lower * scale), (p.upper, t.upper * scale)):
+            assert got == want or abs(got - want) <= 1e-14 * abs(want)
+    lowers = [t.lower for t in tails]
+    assert all(b <= a for a, b in zip(lowers, lowers[1:]))
+    for t, deep in zip(tails, widom_profile(sym, m_grid, 8 * nmax)):
+        deep_lower = deep.lower / np.log(deep.m + 2.0)
+        deep_upper = deep.upper / np.log(deep.m + 2.0)
+        assert max(t.lower, deep_lower) <= min(t.upper, deep_upper)
+
+
 # -- classify -----------------------------------------------------------------
 
 
@@ -149,6 +187,20 @@ def test_classify_ladder():
 def test_classify_point_mass_compact():
     rep = classify(SymbolSeq.from_measure(MeasureSpec.point_mass(0.5)), "hankel")
     assert rep.verdict == "compact" and rep.applicability == "theorem-exact"
+
+
+@pytest.mark.parametrize("kind", ["hankel", "cesaro"])
+def test_classify_bounded_needs_a_whole_grid_plateau(kind):
+    # for alpha = 1 the profile drifts like (log m)^(2 - 2 beta): a few
+    # percent per octave, so only the whole-grid ratio separates beta != 1
+    verdicts = {b: classify(SymbolSeq.powerlog(1.0, b), kind).verdict for b in (0.6, 0.75, 1.0, 1.25)}
+    assert verdicts[1.0] == "bounded"
+    assert all(verdicts[b] != "bounded" for b in (0.6, 0.75, 1.25))
+
+
+def test_classify_rejects_empty_cutoff_grid():
+    with pytest.raises(ValueError, match="cutoff grid"):
+        classify(SymbolSeq.powerlog(1.0, 0.75), "hankel", ClassifyConfig(m_grid=()))
 
 
 def test_classify_cesaro_log_symbol_bounded():
