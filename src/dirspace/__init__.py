@@ -18,14 +18,13 @@ from .criteria import (
     widom_profile,
     widom_tail,
 )
-from .measures import MeasureSpec, classify_measure, moment, moment_sequence
+from .measures import MeasureSpec, classify_measure, moment_sequence
 from .operators import (
     SectionMatrix,
     cesaro_apply,
     cesaro_rkt_norm,
     hankel_apply,
     section_matrix,
-    symbol_value,
     tail_section_norm,
     top_singular_value,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "evaluate",
     "kernel_coeffs",
     "normalized_kernel_coeffs",
-    "symbol_value",
     "hankel_apply",
     "cesaro_apply",
     "section_matrix",
@@ -68,7 +66,6 @@ __all__ = [
     "rkt_probe",
     "dirichlet_membership",
     "double_sum_ratio",
-    "moment",
     "moment_sequence",
     "classify_measure",
     "sample_symbol",

@@ -68,9 +68,6 @@ def normals(seed: int, stream: int, index) -> np.ndarray:
 
 def unit_start_vector(n: int, seed: int = 0x5EED, stream: int = 0) -> np.ndarray:
     """Deterministic pseudo-random unit vector used to start power iterations."""
+    # no entry is 0: uniforms are (k + 1/2) 2^-53, never exactly 1/2
     v = 2.0 * uniforms(seed, stream, np.arange(n)) - 1.0
-    nrm = np.sqrt(np.sum(v * v))
-    if nrm == 0.0:  # cannot happen for n >= 1, kept for safety
-        v[0] = 1.0
-        return v
-    return v / nrm
+    return v / np.sqrt(np.sum(v * v))

@@ -96,16 +96,12 @@ def restricted_carleson_norm(b: TaylorPoly, n: int, delta: float) -> float:
     return _rayleigh_top(symbol_gram(b, n, delta))
 
 
-def mixed_norm(
-    phi: TaylorPoly,
-    p: float,
-    radial_nodes: int = 64,
-    angular_nodes: int | None = None,
-) -> float:
+def mixed_norm(phi: TaylorPoly, p: float) -> float:
     """int_0^1 M_p(phi', r)^2 dr with M_p the circle mean of order p.
 
-    Gauss-Legendre in r; uniform angular grid (exact for the trigonometric
-    polynomials arising from integer p, spectrally accurate otherwise).
+    64-node Gauss-Legendre in r; uniform angular grid of max(256, 4 deg + 8)
+    points (exact for the trigonometric polynomials arising from integer p,
+    spectrally accurate otherwise).
     p = inf takes the angular maximum with a local refinement pass around
     the grid argmax.  Requires p > 2.
     """
@@ -113,10 +109,8 @@ def mixed_norm(
         raise ValueError("mixed norm requires p > 2 (or p = inf)")
     c = phi.derivative().coeffs
     deg = c.shape[0] - 1
-    if angular_nodes is None:
-        angular_nodes = max(256, 4 * deg + 8)
-    m = int(angular_nodes)
-    nodes, weights = np.polynomial.legendre.leggauss(int(radial_nodes))
+    m = max(256, 4 * deg + 8)
+    nodes, weights = np.polynomial.legendre.leggauss(64)
     r = 0.5 * (nodes + 1.0)
     w = 0.5 * weights
     powers = np.arange(deg + 1)

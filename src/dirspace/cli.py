@@ -38,7 +38,9 @@ increasing):
     count/max_len  doublesum battery size
     seed/stream    required for stochastic commands
     classify    optional {"m_grid": [int...], "nmax": int}, nothing else;
-                the verdict thresholds are constants of criteria.py
+                verdicts come from the symbol's closed-form class, and
+                DIVERGENCE_CAP in criteria.py is the Widom route's one
+                threshold
     power       optional {"tol": f, "max_iter": int} for norm estimates,
                 nothing else
     preset      demo only; one of the twelve check names in checks.py
@@ -313,7 +315,7 @@ def _run_moments(cfg: dict) -> tuple[dict, list]:
     spec = _parse_measure(_require(cfg, "measure"))
     n = _as_int(_get(cfg, "n", 64), "n")
     ccfg = _parse_classify_cfg(cfg)
-    sym = measures.moment_sequence(spec, n)
+    sym = measures.moment_sequence(spec)
     mom = sym.values(np.arange(n + 1))
     mom_rows = [[i, m, m, m] for i, m in enumerate(mom.real)]
     profile = criteria.widom_profile(sym, ccfg.m_grid, ccfg.nmax)

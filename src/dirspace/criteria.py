@@ -2,28 +2,22 @@
 
 The governing quantity is the weighted tail S(m) = sum_{n >= m} n |lambda_n|^2.
 Boundedness corresponds to S(m) = O(1/log(m+2)) and compactness to the
-little-o version, so the classifier works with the normalized profile
-P(m) = S(m) * log(m+2) over a dyadic grid of cutoffs.  Every tail bracket
-(widom_tail, dirichlet_membership, widom_profile) comes from _tail_brackets:
-a padded partial sum per cutoff plus the symbol's certified remainder.
+little-o version.  Every tail bracket (widom_tail, dirichlet_membership,
+widom_profile) comes from _tail_brackets: a padded partial sum per cutoff plus
+the symbol's certified remainder.  The normalized profile
+P(m) = S(m) * log(m+2) over a dyadic grid of cutoffs goes into every report.
 
-Asymptotic O/o conditions need finite proxies.  The proxies are the module
-constants below, not truth claims; every report carries the raw profile with
-certified brackets where the symbol kind admits them:
+Verdicts come from the closed-form order of S(m) (SymbolSeq.widom_class),
+which every symbol kind with a certified remainder has: finite symbols,
+powerlog (alpha, beta), lacunary rules (decay, power) and atom-only moments.
+The profile is evidence, not the decision.  For the other kinds (measures
+with a density, randomized symbols over an infinite base) the only proxy is
+heuristic:
 
-* unbounded    -- the tail sum is analytically divergent (certified), or an
-                  uncertified symbol's partial sums already exceed
-                  DIVERGENCE_CAP;
-* compact      -- certified profile decays: P(last)/P(first) <= COMPACT_FACTOR
-                  and the profile is still heading down at the end.  (A
-                  per-octave decay test would be wrong here: little-o symbols
-                  with 1/log-speed tails have per-octave ratios tending to 1.)
-* bounded      -- the brackets of the last three cutoffs are narrower than
-                  BRACKET_REL_WIDTH, and both P(last)/P(last-2) and
-                  P(last)/P(first) lie within PLATEAU_BAND of 1;
+* unbounded    -- the partial sums already exceed DIVERGENCE_CAP;
 * inconclusive -- anything else.
 
-Symbols whose remainder cannot be certified never receive bounded/compact.
+Symbols without a closed-form class never receive bounded/compact.
 """
 
 from __future__ import annotations
@@ -36,10 +30,10 @@ from . import operators
 from .coeffspace import kernel_degree_for_tail, normalized_kernel_coeffs, space_norm
 from .symbols import _SUM_PAD, MONOTONE_DECREASING, SymbolSeq, WidomTail, _weight_values
 
-PLATEAU_BAND = 0.15  # bounded: profile ratios within [1 -, 1 +] this band
-COMPACT_FACTOR = 0.5  # compact: full-grid profile decay factor
-DIVERGENCE_CAP = 10.0  # uncertified symbols: unbounded past this
-BRACKET_REL_WIDTH = 0.05  # max relative bracket width for verdicts
+DIVERGENCE_CAP = 10.0  # symbols without a closed form: unbounded past this
+
+KERNEL_TAIL_TOL = 1e-12  # rkt_probe: bound on each truncated kernel's tail
+MAX_KERNEL_DEGREE = 1 << 20  # rkt_probe: cap on the kernel truncation degree
 
 
 @dataclass(frozen=True)
@@ -121,85 +115,51 @@ def widom_profile(s: SymbolSeq, m_grid, nmax: int = 2**18) -> list[WidomTail]:
 
 
 def classify(s: SymbolSeq, kind: str, cfg: ClassifyConfig | None = None) -> ClassReport:
-    """Boundedness/compactness verdict from the Widom profile.
+    """Boundedness/compactness verdict for the Hankel or Cesaro operator.
 
-    kind = 'hankel' requires a decreasing positive symbol for theorem-grade
-    applicability; general complex Hankel symbols are classified heuristically
-    and the report recommends the Carleson-measure route instead.  kind =
-    'cesaro' applies to arbitrary complex symbols.
+    The verdict is the symbol's closed-form class (SymbolSeq.widom_class)
+    when it has one; otherwise partial sums past DIVERGENCE_CAP give
+    unbounded and anything else inconclusive, both heuristic.  The Widom
+    profile over cfg.m_grid is reported either way.
+
+    Only a closed-form verdict is theorem-exact, and only where the theorem
+    applies: kind = 'cesaro' with any complex symbol, or kind = 'hankel'
+    with a decreasing positive symbol.  General complex Hankel symbols get a
+    heuristic label and a note recommending the Carleson-measure route.
     """
     if kind not in ("hankel", "cesaro"):
         raise ValueError(f"unknown operator kind {kind!r}")
     cfg = cfg or ClassifyConfig()
+    profile = widom_profile(s, cfg.m_grid, cfg.nmax)
+    verdict = s.widom_class()
+    exact = verdict is not None
     notes = []
     if kind == "hankel" and s.monotone_flag != MONOTONE_DECREASING:
-        applicability = "heuristic"
+        exact = False
         notes.append(
             "general complex symbol: the monotone-symbol tail criterion is only "
             "a heuristic here; prefer the Carleson-measure route "
             "(carleson.classify_hankel_general) for certified evidence"
         )
-    else:
-        applicability = "theorem-exact"
-
-    profile = widom_profile(s, cfg.m_grid, cfg.nmax)
-    if any(p.divergent for p in profile):
-        notes.append("tail sum diverges by term comparison")
+    applicability = "theorem-exact" if exact else "heuristic"
+    if verdict is not None:
+        notes.append(f"closed-form order of S(m) for this {s.kind} symbol; the profile is evidence only")
+        return ClassReport(verdict, applicability, profile, notes)
+    if max(p.lower for p in profile) > DIVERGENCE_CAP:
+        notes.append(
+            "remainder not certifiable for this symbol kind; partial sums "
+            f"already exceed the cap {DIVERGENCE_CAP}"
+        )
         return ClassReport("unbounded", applicability, profile, notes)
-
-    if not all(p.certified for p in profile):
-        if max(p.lower for p in profile) > DIVERGENCE_CAP:
-            notes.append(
-                "remainder not certifiable for this symbol kind; partial sums "
-                f"already exceed the cap {DIVERGENCE_CAP}"
-            )
-            return ClassReport("unbounded", applicability, profile, notes)
-        notes.append("remainder not certifiable for this symbol kind")
-        return ClassReport("inconclusive", applicability, profile, notes)
-
-    mids = np.array([p.midpoint for p in profile])
-    if np.all(mids == 0.0):
-        notes.append("zero symbol: zero operator")
-        return ClassReport("compact", applicability, profile, notes)
-
-    widths_ok = all(
-        (p.upper - p.lower) <= BRACKET_REL_WIDTH * max(p.midpoint, 1e-300)
-        for p in profile[-3:]
-    )
-    r_full = mids[-1] / mids[0] if mids[0] > 0 else 0.0
-    r_tail = mids[-1] / mids[-3] if len(mids) >= 3 and mids[-3] > 0 else r_full
-    # decay certified outright when even the worst-case bracket ends decay
-    # enough; wide brackets then cannot hide a plateau
-    r_certified = profile[-1].upper / profile[0].lower if profile[0].lower > 0 else np.inf
-    decay_ok = r_certified <= COMPACT_FACTOR or (widths_ok and r_full <= COMPACT_FACTOR)
-    if decay_ok and r_tail <= 1.0:
-        return ClassReport("compact", applicability, profile, notes)
-    end_plateau = abs(r_tail - 1.0) <= PLATEAU_BAND
-    # log-power tails drift by a few percent per octave, so a plateau over
-    # the last two octaves counts only when the whole grid plateaus too
-    if widths_ok and end_plateau and abs(r_full - 1.0) <= PLATEAU_BAND:
-        return ClassReport("bounded", applicability, profile, notes)
-    if not widths_ok:
-        notes.append("bracket widths too large for a verdict at this truncation")
-    elif end_plateau:
-        notes.append(f"profile plateaus at the end but drifts over the grid (grid ratio {r_full:.3g})")
-    else:
-        notes.append(f"profile neither plateaus nor decays enough (tail ratio {r_tail:.3g})")
+    notes.append("remainder not certifiable for this symbol kind")
     return ClassReport("inconclusive", applicability, profile, notes)
 
 
-def rkt_probe(
-    s: SymbolSeq,
-    kind: str,
-    t_grid,
-    n: int,
-    kernel_tail_tol: float = 1e-12,
-    max_kernel_degree: int = 1 << 20,
-) -> ProbeReport:
+def rkt_probe(s: SymbolSeq, kind: str, t_grid, n: int) -> ProbeReport:
     """Operator norms on normalized reproducing kernels over a [0,1) grid.
 
     For each t the kernel is truncated at a degree making its tail bound
-    < kernel_tail_tol (at least n); the estimate is the exact-Dirichlet norm
+    < KERNEL_TAIL_TOL (at least n, at most MAX_KERNEL_DEGREE); the estimate is the exact-Dirichlet norm
     of the truncated image, a lower-bound estimate of ||T k_t||.  For
     kind='cesaro' the closed-form value is reported alongside.
     """
@@ -208,7 +168,7 @@ def rkt_probe(
     rows = []
     for t in t_grid:
         t = float(t)
-        deg = max(n, kernel_degree_for_tail(t, kernel_tail_tol, max_degree=max_kernel_degree))
+        deg = max(n, kernel_degree_for_tail(t, KERNEL_TAIL_TOL, max_degree=MAX_KERNEL_DEGREE))
         kernel, tail = normalized_kernel_coeffs(t, deg)
         if kind == "hankel":
             image = operators.hankel_apply(s, kernel, n_out=deg)
@@ -243,8 +203,9 @@ def double_sum_ratio(a) -> tuple[float, float, float]:
         return 0.0, 0.0, 0.0
     v = a[1:]
     n = np.arange(1, a.shape[0], dtype=np.float64)
-    logs = np.log(n[:, None] + n[None, :] + 1.0)
-    lhs = float(v @ (v[None, :] / logs).sum(axis=1))
+    # the kernel depends on n + m only: entry j of the self-convolution sums
+    # the pairs with n + m = j + 2, so lhs = sum_j (v * v)_j / log(j + 3)
+    lhs = float(np.sum(np.convolve(v, v) / np.log(np.arange(3.0, 2.0 * v.shape[0] + 2.0))))
     rhs = float(np.sum(n * v * v))
     if rhs == 0.0:
         return lhs, rhs, 0.0

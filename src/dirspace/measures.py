@@ -139,22 +139,12 @@ class MeasureSpec:
         return out
 
 
-def moment(spec: MeasureSpec, n: int) -> float:
-    return spec.moment(n)
-
-
-def moment_sequence(spec: MeasureSpec, n_precompute: int = 0):
-    """Moment symbol of the measure (decreasing-positive automatically).
-
-    The symbol evaluates moments lazily; ``n_precompute`` just warms the
-    cache through that index.
-    """
+def moment_sequence(spec: MeasureSpec):
+    """Moment symbol of the measure (decreasing-positive automatically); it
+    evaluates and caches moments lazily."""
     from .symbols import SymbolSeq
 
-    sym = SymbolSeq.from_measure(spec)
-    if n_precompute > 0:
-        sym.values(np.arange(n_precompute + 1))
-    return sym
+    return SymbolSeq.from_measure(spec)
 
 
 def classify_measure(spec: MeasureSpec, kind: str, cfg=None):

@@ -42,11 +42,6 @@ class SectionMatrix:
         return self.entries.shape[0]
 
 
-def symbol_value(s: SymbolSeq, n: int) -> complex:
-    """Uniform accessor lambda_n across all symbol kinds."""
-    return s.value(n)
-
-
 def hankel_apply(s: SymbolSeq, f: TaylorPoly, n_out: int, n_inner: int | None = None) -> TaylorPoly:
     """b_n = sum_{k <= n_inner} lambda_{n+k} a_k for n = 0..n_out.
 
@@ -120,16 +115,19 @@ def default_max_iter(n: int) -> int:
 def top_singular_value(m, tol: float = 1e-10, max_iter: int | None = None):
     """Largest singular value via power iteration on v -> M^H (M v).
 
-    Accepts a SectionMatrix or a 2-D array.  The start vector is a fixed
-    seeded pseudo-random unit vector, so results are reproducible.  Returns
-    (sigma, converged); converged is False when max_iter was exhausted, in
-    which case sigma is the best (lower) estimate reached.
+    Accepts a SectionMatrix or a 2-D array with both dimensions >= 1.  The
+    start vector is a fixed seeded pseudo-random unit vector, so results are
+    reproducible.  Returns (sigma, converged); converged is False when
+    max_iter was exhausted, in which case sigma is the best (lower) estimate
+    reached.
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
     if max_iter is not None and max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     arr = m.entries if isinstance(m, SectionMatrix) else np.asarray(m)
+    if arr.ndim != 2 or 0 in arr.shape:
+        raise ValueError(f"need a 2-D matrix with both dimensions >= 1, got shape {arr.shape}")
     if max_iter is None:
         max_iter = default_max_iter(arr.shape[0])
     for restart in range(3):
@@ -145,18 +143,17 @@ def tail_section_norm(
     kind: str,
     m: int,
     n: int,
-    tag: str = "dirichlet-section",
     tol: float = 1e-10,
     max_iter: int | None = None,
 ) -> float:
-    """Top singular value of the section restricted to rows/cols >= m.
+    """Top singular value of the dirichlet-section restricted to rows/cols >= m.
 
     Nonincreasing in m for a fixed symbol and dimension (a principal
     submatrix cannot have larger norm).
     """
     if not 0 <= m < n:
         raise ValueError("need 0 <= m < n")
-    entries = _section_entries(s, kind, tag, n, offset=m)
+    entries = _section_entries(s, kind, "dirichlet-section", n, offset=m)
     sigma, _ = top_singular_value(entries, tol=tol, max_iter=max_iter)
     return sigma
 

@@ -16,7 +16,9 @@ sum_{n > N} w(n) |lambda_n|^2 (w(n) = n or n+1): exactly zero for finite
 symbols, by integral comparison for powerlog, by closed-form geometric sums
 for atomic moment symbols and ruled lacunary symbols, and "not certified"
 otherwise.  Divergence is flagged analytically where the closed form decides
-it.  These brackets are what the classification layer consumes.
+it.  The same exponents give each such symbol its closed-form class
+(widom_class): the order of S(m) = sum_{n >= m} n |lambda_n|^2 against
+1/log m, which is the classification layer's verdict.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import numpy as np
 
 MONOTONE_DECREASING = "decreasing-positive"
 MONOTONE_GENERAL = "general"
-MONOTONE_UNKNOWN = "unknown"
 
 #: relative padding applied to bracket ends to absorb float summation error
 _SUM_PAD = 64.0 * np.finfo(np.float64).eps
@@ -283,6 +284,25 @@ class SymbolSeq:
         # randomized and other kinds: not certified
         return WidomTail(nmax + 1, 0.0, np.inf)
 
+    def widom_class(self) -> str | None:
+        """Closed-form order of S(m) = sum_{n >= m} n |lambda_n|^2 against
+        1/log m: 'compact' (little-o), 'bounded' (big-O only) or 'unbounded',
+        from the same exponents tail_remainder uses.  None for the kinds
+        without a closed form: measures with a density and randomized
+        symbols over an infinite base."""
+        if self.finite_support_bound is not None:
+            return "compact"
+        if self.kind == "powerlog":
+            return _log_power_class(self.params["alpha"], self.params["beta"])
+        if self.kind == "lacunary":
+            rule = self.params["rule"]
+            # sum over n_k ~ q^k of n_k^(1 - 2 decay) (k+1)^(-2 power) has the
+            # order of powerlog(decay + 1/2, power), with log n_k ~ k log q
+            return _log_power_class(rule["decay"] + 0.5, rule["power"])
+        if self.kind == "moments" and not self.params["measure"].has_density:
+            return "compact"  # atoms in [0, 1): geometric decay
+        return None
+
     # -- internals ----------------------------------------------------------
 
     def _moment_values(self, idx: np.ndarray) -> np.ndarray:
@@ -348,6 +368,18 @@ def _lacunary_ratio(support: np.ndarray) -> float:
 
 def _rule_value(rule: dict, n_k: int, k: int) -> float:
     return rule["scale"] * float(n_k) ** (-rule["decay"]) * (k + 1.0) ** (-rule["power"])
+
+
+def _log_power_class(alpha: float, beta: float) -> str:
+    """Class of lambda_n = (n+1)^(-alpha) log(n+2)^(-beta).  S(m) log m
+    behaves like m^(2 - 2 alpha) (log m)^(1 - 2 beta) for alpha > 1, is
+    infinite for alpha < 1, and behaves like (log m)^(2 - 2 beta) at alpha = 1
+    (infinite for beta <= 1/2)."""
+    if alpha != 1.0:
+        return "compact" if alpha > 1.0 else "unbounded"
+    if beta != 1.0:
+        return "compact" if beta > 1.0 else "unbounded"
+    return "bounded"
 
 
 def _powerlog_tail(params: dict, nmax: int, weight: str) -> WidomTail:

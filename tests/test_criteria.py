@@ -192,7 +192,8 @@ def test_classify_point_mass_compact():
 @pytest.mark.parametrize("kind", ["hankel", "cesaro"])
 def test_classify_bounded_needs_a_whole_grid_plateau(kind):
     # for alpha = 1 the profile drifts like (log m)^(2 - 2 beta): a few
-    # percent per octave, so only the whole-grid ratio separates beta != 1
+    # percent per octave, too little for profile ratios to separate beta
+    # near 1; the verdict comes from the exponents
     verdicts = {b: classify(SymbolSeq.powerlog(1.0, b), kind).verdict for b in (0.6, 0.75, 1.0, 1.25)}
     assert verdicts[1.0] == "bounded"
     assert all(verdicts[b] != "bounded" for b in (0.6, 0.75, 1.25))
@@ -244,6 +245,60 @@ def test_classify_uncertified_inconclusive():
     rep = classify(SymbolSeq.from_measure(spec), "hankel")
     assert rep.verdict in ("inconclusive", "compact")  # must not claim compact...
     assert rep.verdict == "inconclusive"
+
+
+def _rises(rep) -> bool:
+    return rep.profile[-1].midpoint > rep.profile[0].midpoint
+
+
+# the profile's trend on the default grid agrees with the closed-form class
+# only away from the boundary exponent 1: at beta = 0.95 P(last)/P(first) is
+# about 1.12, at beta = 1.05 about 0.88, and a lacunary rule with power 0.9
+# (unbounded) still has a falling profile on this grid
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(beta=st.floats(0.55, 0.95) | st.floats(1.05, 2.0), kind=st.sampled_from(["hankel", "cesaro"]))
+def test_log_symbol_class_matches_profile_trend(beta, kind):
+    # alpha = 1: P(m) ~ (log m)^(2 - 2 beta)
+    rep = classify(SymbolSeq.powerlog(1.0, beta), kind)
+    assert rep.verdict == ("unbounded" if beta < 1.0 else "compact")
+    assert rep.applicability == "theorem-exact"
+    assert _rises(rep) == (beta < 1.0)
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(alpha=st.floats(1.2, 2.5), beta=st.floats(0.0, 2.0))
+def test_power_symbol_class_compact_with_decaying_profile(alpha, beta):
+    rep = classify(SymbolSeq.powerlog(alpha, beta), "hankel")
+    mids = [p.midpoint for p in rep.profile]
+    assert rep.verdict == "compact"
+    assert all(b < a for a, b in zip(mids, mids[1:]))
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(
+    power=st.floats(0.55, 0.8) | st.floats(1.2, 2.0),
+    q=st.sampled_from([2.0, 3.0]),
+    start=st.integers(1, 3),
+)
+def test_lacunary_rule_class_matches_profile_trend(power, q, start):
+    # decay 1/2: S(m) log m ~ (log m)^(2 - 2 power), like powerlog(1, power)
+    rep = classify(SymbolSeq.lacunary_rule(start, q, 0.5, power), "cesaro")
+    assert rep.verdict == ("unbounded" if power < 1.0 else "compact")
+    assert _rises(rep) == (power < 1.0)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(
+    sym=st.builds(SymbolSeq.powerlog, st.just(1.0) | st.floats(0.5, 1.5), st.floats(0.0, 2.0))
+    | st.builds(SymbolSeq.lacunary_rule, st.integers(1, 3), st.sampled_from([2.0, 3.0]),
+                st.just(0.5) | st.floats(0.3, 1.0), st.floats(0.0, 2.0)),
+)
+def test_divergent_profile_means_unbounded(sym):
+    rep = classify(sym, "cesaro")
+    if any(p.divergent for p in rep.profile):
+        assert rep.verdict == "unbounded"
 
 
 def test_classify_kind_validation():
@@ -319,6 +374,15 @@ def test_double_sum_pair():
     assert lhs == pytest.approx(want, rel=1e-14)
     assert rhs == 3.0
     assert ratio == pytest.approx(want / 3.0, rel=1e-14)
+
+
+def test_double_sum_matches_direct_double_sum():
+    # the self-convolution against the n x n table of 1/log(n+m+1)
+    for i, length in enumerate((3, 17, 300)):
+        a = seeded_uniforms(4244, i, length)
+        n = np.arange(1, length, dtype=np.float64)
+        want = float(np.sum(np.outer(a[1:], a[1:]) / np.log(n[:, None] + n[None, :] + 1.0)))
+        assert double_sum_ratio(a)[0] == pytest.approx(want, rel=1e-14)
 
 
 def test_double_sum_index_zero_ignored():

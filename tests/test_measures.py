@@ -182,7 +182,7 @@ def test_validation_errors():
 
 
 def test_moment_sequence_symbol():
-    sym = moment_sequence(MeasureSpec.point_mass(0.5), 16)
+    sym = moment_sequence(MeasureSpec.point_mass(0.5))
     assert sym.monotone_flag == "decreasing-positive"
     assert np.allclose(sym.values(np.arange(5)), [1, 0.5, 0.25, 0.125, 0.0625])
 

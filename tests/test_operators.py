@@ -10,7 +10,6 @@ from dirspace.operators import (
     exact_norm_interval,
     hankel_apply,
     section_matrix,
-    symbol_value,
     tail_section_norm,
     top_singular_value,
 )
@@ -22,9 +21,9 @@ def hilbert_symbol():
 
 
 def test_symbol_value_dispatch():
-    assert symbol_value(hilbert_symbol(), 4) == pytest.approx(0.2)
-    assert symbol_value(SymbolSeq.explicit([2, 0, 1]), 7) == 0
-    assert symbol_value(SymbolSeq.from_measure(MeasureSpec.lebesgue()), 9) == pytest.approx(0.1)
+    assert hilbert_symbol().value(4) == pytest.approx(0.2)
+    assert SymbolSeq.explicit([2, 0, 1]).value(7) == 0
+    assert SymbolSeq.from_measure(MeasureSpec.lebesgue()).value(9) == pytest.approx(0.1)
 
 
 # -- coefficient actions ------------------------------------------------------
@@ -185,6 +184,9 @@ def test_top_singular_value_rejects_bad_iteration_settings():
     for kwargs in ({"max_iter": 0}, {"max_iter": -3}, {"tol": 0.0}):
         with pytest.raises(ValueError):
             top_singular_value(sec, **kwargs)
+    for bad in (np.zeros((0, 0)), np.zeros((3, 0)), np.ones(4)):
+        with pytest.raises(ValueError, match="2-D matrix"):
+            top_singular_value(bad)
 
 
 def test_section_norm_monotone_in_n():

@@ -6,6 +6,28 @@ from dirspace.stochastic import DistTag
 from dirspace.symbols import SymbolSeq
 
 
+def test_widom_class_by_kind():
+    finite = [
+        SymbolSeq.explicit([0.0, 0.0]),
+        SymbolSeq.explicit([1.0, -2.0j]),
+        SymbolSeq.lacunary([2, 5, 11], [1.0, 1.0, 1.0]),
+        SymbolSeq.randomized(SymbolSeq.explicit([1.0, 0.5]), DistTag("rademacher"), seed=3),
+        SymbolSeq.from_measure(MeasureSpec.point_mass(0.5)),
+        SymbolSeq.from_measure(MeasureSpec()),
+    ]
+    assert [s.widom_class() for s in finite] == ["compact"] * len(finite)
+    assert SymbolSeq.from_measure(MeasureSpec.lebesgue()).widom_class() is None
+    assert SymbolSeq.randomized(SymbolSeq.powerlog(1.0, 1.0), DistTag("rademacher"), seed=3).widom_class() is None
+    ladder = {(a, b): SymbolSeq.powerlog(a, b).widom_class() for a, b in
+              [(0.9, 3.0), (1.0, 0.5), (1.0, 1.0), (1.0, 1.5), (1.1, -1.0)]}
+    assert ladder == {(0.9, 3.0): "unbounded", (1.0, 0.5): "unbounded", (1.0, 1.0): "bounded",
+                      (1.0, 1.5): "compact", (1.1, -1.0): "compact"}
+    rules = {(d, p): SymbolSeq.lacunary_rule(1, 2.0, d, p).widom_class() for d, p in
+             [(0.4, 2.0), (0.5, 0.75), (0.5, 1.0), (0.5, 1.25), (0.6, 0.0)]}
+    assert rules == {(0.4, 2.0): "unbounded", (0.5, 0.75): "unbounded", (0.5, 1.0): "bounded",
+                     (0.5, 1.25): "compact", (0.6, 0.0): "compact"}
+
+
 def test_explicit_values_and_padding():
     s = SymbolSeq.explicit([2.0, 0.0, 1.0])
     assert s.value(0) == 2.0
