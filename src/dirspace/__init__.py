@@ -18,7 +18,7 @@ from .criteria import (
     widom_profile,
     widom_tail,
 )
-from .measures import MeasureSpec, classify_measure, moment_sequence
+from .measures import MeasureSpec, classify_measure
 from .operators import (
     SectionMatrix,
     cesaro_apply,
@@ -66,7 +66,6 @@ __all__ = [
     "rkt_probe",
     "dirichlet_membership",
     "double_sum_ratio",
-    "moment_sequence",
     "classify_measure",
     "sample_symbol",
     "fourth_moment_exact_rademacher",

@@ -26,7 +26,7 @@ from .operators import default_max_iter, top_singular_value
 # the x-norm of a borderline-unbounded symbol grows additively in log N,
 # so consecutive-doubling ratios tend to 1; growth is judged over the
 # whole sweep, saturation at its end
-GROWTH_RATIO = 1.25  # last/first >= this => unbounded (heuristic)
+GROWTH_RATIO = 1.25  # last/first nonzero >= this => unbounded (heuristic)
 SATURATION_RATIO = 1.15  # last/previous <= this => saturated
 VANISH_FRACTION = 0.1  # restricted/full below this => vanishing
 VANISH_DELTA = 2.0**-6
@@ -101,12 +101,10 @@ def mixed_norm(phi: TaylorPoly, p: float) -> float:
 
     64-node Gauss-Legendre in r; uniform angular grid of max(256, 4 deg + 8)
     points (exact for the trigonometric polynomials arising from integer p,
-    spectrally accurate otherwise).
-    p = inf takes the angular maximum with a local refinement pass around
-    the grid argmax.  Requires p > 2.
+    spectrally accurate otherwise).  Requires 2 < p < inf.
     """
-    if not (p == np.inf or p > 2.0):
-        raise ValueError("mixed norm requires p > 2 (or p = inf)")
+    if not 2.0 < p < np.inf:
+        raise ValueError("mixed norm requires 2 < p < inf")
     c = phi.derivative().coeffs
     deg = c.shape[0] - 1
     m = max(256, 4 * deg + 8)
@@ -116,38 +114,25 @@ def mixed_norm(phi: TaylorPoly, p: float) -> float:
     powers = np.arange(deg + 1)
     total = 0.0
     for ri, wi in zip(r, w):
-        x = c * ri**powers
-        vals = m * np.fft.ifft(x, m)
-        mod = np.abs(vals)
-        if p == np.inf:
-            mp = _refined_max(x, mod)
-        else:
-            mp = float(np.mean(mod**p)) ** (1.0 / p)
+        mod = np.abs(m * np.fft.ifft(c * ri**powers, m))
+        mp = float(np.mean(mod**p)) ** (1.0 / p)
         total += wi * mp * mp
     return float(total)
-
-
-def _refined_max(x: np.ndarray, grid_mod: np.ndarray) -> float:
-    """Max modulus on the circle: grid max plus a fine pass near the argmax."""
-    m = grid_mod.shape[0]
-    j = int(np.argmax(grid_mod))
-    theta = 2.0 * np.pi * (j + np.linspace(-1.0, 1.0, 65)) / m
-    z = np.exp(1j * theta)
-    acc = np.zeros_like(z)
-    for a in x[::-1]:
-        acc = acc * z + a
-    return float(max(np.max(np.abs(acc)), grid_mod[j]))
 
 
 def classify_hankel_general(b: TaylorPoly, n_grid) -> ClassReport:
     """Heuristic verdict for a general symbol via the Carleson route.
 
     b is the truncation of the series with coefficients conj(lambda_n).  The
-    x-norm sweep over n_grid decides growth vs saturation; saturation is
-    promoted to compact when the annulus-restricted norm at VANISH_DELTA has
-    decayed below VANISH_FRACTION of the full norm.  That restricted norm, at
-    the top degree n_grid[-1], is returned as ``restricted_norm`` (None for
-    the zero symbol, which needs no boundary test).
+    x-norm sweep over n_grid is 'unbounded' when it grows by GROWTH_RATIO from
+    its first nonzero value to its last, and 'compact' when it saturates (last
+    doubling within SATURATION_RATIO) and the annulus-restricted norm at
+    VANISH_DELTA has decayed below VANISH_FRACTION of the full norm.  Any
+    other sweep is 'inconclusive', with a note naming the test that failed:
+    a bounded, non-compact operator cannot be told apart from the slowly
+    growing and the slowly vanishing ones at these degrees.  The restricted
+    norm, at the top degree n_grid[-1], is returned as ``restricted_norm``
+    (None for the zero symbol, which needs no boundary test).
     """
     n_grid = [int(n) for n in n_grid]
     if not n_grid or n_grid[0] < 0 or any(x2 <= x1 for x1, x2 in zip(n_grid, n_grid[1:])):
@@ -158,7 +143,7 @@ def classify_hankel_general(b: TaylorPoly, n_grid) -> ClassReport:
     if values[-1] == 0.0:
         notes.append("zero symbol: zero operator")
         return ClassReport("compact", "heuristic", profile, notes)
-    r_full = values[-1] / values[0] if values[0] > 0.0 else np.inf
+    r_full = values[-1] / next(v for v in values if v > 0.0)
     r_last = values[-1] / values[-2] if len(values) >= 2 and values[-2] > 0.0 else np.inf
     n_top = n_grid[-1]
     restricted = restricted_carleson_norm(b.truncate(n_top), n_top, VANISH_DELTA)
@@ -169,8 +154,18 @@ def classify_hankel_general(b: TaylorPoly, n_grid) -> ClassReport:
     )
     if r_full >= GROWTH_RATIO:
         verdict = "unbounded"
-    elif r_last <= SATURATION_RATIO:
-        verdict = "compact" if vanish <= VANISH_FRACTION else "bounded"
-    else:
+    elif r_last > SATURATION_RATIO:
         verdict = "inconclusive"
+        notes.append(
+            f"inconclusive: no growth (sweep ratio {r_full:.4g} < {GROWTH_RATIO}) "
+            f"and no saturation (end ratio {r_last:.4g} > {SATURATION_RATIO})"
+        )
+    elif vanish > VANISH_FRACTION:
+        verdict = "inconclusive"
+        notes.append(
+            "inconclusive: saturated but no vanishing "
+            f"(boundary fraction {vanish:.4g} > {VANISH_FRACTION})"
+        )
+    else:
+        verdict = "compact"
     return ClassReport(verdict, "heuristic", profile, notes, restricted)

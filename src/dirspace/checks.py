@@ -184,7 +184,7 @@ def _hilbert(moments, dims):
     ok = ok and bool(np.max(np.abs(quadrature - exact)) <= 1e-12)
     verdict = measures.classify_measure(spec, "hankel").verdict
     ok = ok and verdict == "unbounded"
-    sym = measures.moment_sequence(spec)
+    sym = SymbolSeq.from_measure(spec)
     sigmas = [_section_norm(sym, dim) for dim in dims]
     ok = ok and all(b > a for a, b in zip(sigmas, sigmas[1:]))
     ok = ok and sigmas[-1] / sigmas[0] >= 1.2  # frozen: full run gives 1.809
@@ -194,7 +194,7 @@ def _hilbert(moments, dims):
 @_check(5, "point-mass", "point mass delta_1/2",
         quick={"cutoffs": (0, 4, 8)}, full={"cutoffs": (0, 4, 8, 16)})
 def _point_mass(cutoffs):
-    sym = measures.moment_sequence(measures.MeasureSpec.point_mass(0.5))
+    sym = SymbolSeq.from_measure(measures.MeasureSpec.point_mass(0.5))
     tail = criteria.widom_tail(sym, 0, 64)
     ok = tail.lower <= 4.0 / 9.0 <= tail.upper
     ok = ok and (tail.upper - tail.lower) <= 1e-12
@@ -327,7 +327,7 @@ def _carleson_cross_check(n_grid, coupling_dim):
     battery = [
         bounded,
         SymbolSeq.powerlog(1.0, 1.5),
-        measures.moment_sequence(measures.MeasureSpec.point_mass(0.5)),
+        SymbolSeq.from_measure(measures.MeasureSpec.point_mass(0.5)),
         SymbolSeq.lacunary_rule(1, 2.0, 0.5, 1.0),
     ]
     coupling = []

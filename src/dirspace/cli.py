@@ -26,10 +26,10 @@ increasing):
                  "kappa": f=0}...]} or {"named": "lebesgue"}
     kind        "hankel" | "cesaro" (default "hankel")
     route       classify only: "widom" (default) | "carleson"
-    n           degree/dimension (rkt kernel degree, random-sim section dim,
-                moments table length)
-    n_grid      section dimensions / test degrees
-    m_grid      tail cutoffs (indices)
+    n           degree/dimension (rkt kernel degree and moments table
+                length, >= 0; random-sim section dim, >= 1)
+    n_grid      section dimensions (>= 1) / test degrees (>= 0)
+    m_grid      tail cutoffs (indices, 0 <= m < section dimension)
     t_grid      kernel points in [0, 1)
     delta_grid  annulus widths in (0, 1)
     dist        "rademacher" | "uniform-symmetric" | "gaussian"
@@ -91,9 +91,11 @@ def _require(cfg: dict, key: str, path: str = ""):
     return cfg[key]
 
 
-def _as_int(value, path: str) -> int:
+def _as_int(value, path: str, low: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or int(value) != value:
         raise ConfigError(path, f"expected an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ConfigError(path, f"need {low} or more, got {value!r}")
     return int(value)
 
 
@@ -103,13 +105,23 @@ def _as_number(value, path: str) -> float:
     return float(value)
 
 
-def _as_grid(value, path: str, integer: bool = True) -> list:
+def _as_grid(value, path: str, integer: bool = True, low: int | None = None) -> list:
     if not isinstance(value, (list, tuple)) or not value:
         raise ConfigError(path, "expected a nonempty array")
     out = [_as_int(v, f"{path}[{i}]") if integer else _as_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
     if any(b <= a for a, b in zip(out, out[1:])):
         raise ConfigError(path, "grid must be strictly increasing")
+    if low is not None and out[0] < low:
+        raise ConfigError(path, f"values must be {low} or more, got {out[0]!r}")
     return out
+
+
+def _cutoff_grid(value, n: int) -> list:
+    """Tail cutoffs m_grid for sections of dimension n: 0 <= m < n."""
+    m_grid = _as_grid(value, "m_grid", low=0)
+    if m_grid[-1] >= n:
+        raise ConfigError("m_grid", f"cutoffs must stay below the section dimension {n}")
+    return m_grid
 
 
 def _parse_symbol(cfg: dict, path: str = "symbol") -> symbols.SymbolSeq:
@@ -154,13 +166,9 @@ def _parse_classify_cfg(cfg: dict) -> criteria.ClassifyConfig:
     sub = _sub_config(cfg, "classify", ("m_grid", "nmax"))
     kwargs = {}
     if "m_grid" in sub:
-        kwargs["m_grid"] = tuple(_as_grid(sub["m_grid"], "classify.m_grid"))
-        if kwargs["m_grid"][0] < 0:
-            raise ConfigError("classify.m_grid", "cutoffs must be >= 0")
+        kwargs["m_grid"] = tuple(_as_grid(sub["m_grid"], "classify.m_grid", low=0))
     if "nmax" in sub:
-        kwargs["nmax"] = _as_int(sub["nmax"], "classify.nmax")
-        if kwargs["nmax"] < 0:
-            raise ConfigError("classify.nmax", "need nmax >= 0")
+        kwargs["nmax"] = _as_int(sub["nmax"], "classify.nmax", low=0)
     return criteria.ClassifyConfig(**kwargs)
 
 
@@ -172,17 +180,12 @@ def _parse_power(cfg: dict) -> dict:
         if out["tol"] <= 0.0:
             raise ConfigError("power.tol", "tolerance must be positive")
     if "max_iter" in sub:
-        out["max_iter"] = _as_int(sub["max_iter"], "power.max_iter")
-        if out["max_iter"] < 1:
-            raise ConfigError("power.max_iter", "need max_iter >= 1")
+        out["max_iter"] = _as_int(sub["max_iter"], "power.max_iter", low=1)
     return out
 
 
 def _degree_grid(cfg: dict, default: list) -> list:
-    n_grid = _as_grid(_get(cfg, "n_grid", default), "n_grid")
-    if n_grid[0] < 0:
-        raise ConfigError("n_grid", "test degrees must be >= 0")
-    return n_grid
+    return _as_grid(_get(cfg, "n_grid", default), "n_grid", low=0)
 
 
 def _parse_dist(cfg: dict) -> stochastic.DistTag:
@@ -261,19 +264,18 @@ def _run_sections(cfg: dict) -> tuple[dict, list]:
     sym = _parse_symbol(_require(cfg, "symbol"))
     kind = _parse_kind(cfg)
     power = _parse_power(cfg)
-    n_grid = _as_grid(_get(cfg, "n_grid", [64, 128, 256, 512, 1024]), "n_grid")
+    n_grid = _as_grid(_get(cfg, "n_grid", [64, 128, 256, 512, 1024]), "n_grid", low=1)
+    n_top = max(n_grid)
+    m_grid = _get(cfg, "m_grid")
+    if m_grid is not None:
+        m_grid = _cutoff_grid(m_grid, n_top)
     norm_rows = []
     for n in n_grid:
         sec = operators.section_matrix(sym, kind, "dirichlet-section", n)
         sigma, _ = operators.top_singular_value(sec, **power)
         norm_rows.append([n, sigma, sigma, sigma])
     curves = [_curve("section_norm_vs_n", norm_rows, {"weight": "dirichlet-section"})]
-    n_top = max(n_grid)
-    m_grid = _get(cfg, "m_grid")
     if m_grid is not None:
-        m_grid = _as_grid(m_grid, "m_grid")
-        if m_grid[-1] >= n_top:
-            raise ConfigError("m_grid", f"cutoffs must stay below max(n_grid) = {n_top}")
         tail_rows = []
         for m in m_grid:
             t = operators.tail_section_norm(sym, kind, m, n_top, **power)
@@ -293,7 +295,7 @@ def _run_rkt(cfg: dict) -> tuple[dict, list]:
     t_grid = _as_grid(_require(cfg, "t_grid"), "t_grid", integer=False)
     if t_grid[0] < 0.0 or t_grid[-1] >= 1.0:
         raise ConfigError("t_grid", "kernel points must lie in [0, 1)")
-    n = _as_int(_get(cfg, "n", 256), "n")
+    n = _as_int(_get(cfg, "n", 256), "n", low=0)
     probe = criteria.rkt_probe(sym, kind, t_grid, n)
     est_rows = [[r.t, r.estimate, r.estimate, r.estimate] for r in probe.rows]
     tail_rows = [[r.t, r.kernel_tail, r.kernel_tail, r.kernel_tail] for r in probe.rows]
@@ -313,9 +315,9 @@ def _run_rkt(cfg: dict) -> tuple[dict, list]:
 
 def _run_moments(cfg: dict) -> tuple[dict, list]:
     spec = _parse_measure(_require(cfg, "measure"))
-    n = _as_int(_get(cfg, "n", 64), "n")
+    n = _as_int(_get(cfg, "n", 64), "n", low=0)
     ccfg = _parse_classify_cfg(cfg)
-    sym = measures.moment_sequence(spec)
+    sym = symbols.SymbolSeq.from_measure(spec)
     mom = sym.values(np.arange(n + 1))
     mom_rows = [[i, m, m, m] for i, m in enumerate(mom.real)]
     profile = criteria.widom_profile(sym, ccfg.m_grid, ccfg.nmax)
@@ -363,11 +365,9 @@ def _run_random_sim(cfg: dict) -> tuple[dict, list]:
     sym = _parse_symbol(_require(cfg, "symbol"))
     dist = _parse_dist(cfg)
     rng = _parse_seed(cfg)
-    replicas = _as_int(_get(cfg, "replicas", 16), "replicas")
-    if replicas < 1:
-        raise ConfigError("replicas", "expected at least one replica")
-    n = _as_int(_get(cfg, "n", 512), "n")
-    m_grid = _as_grid(_get(cfg, "m_grid", [n // 8, n // 4, n // 2]), "m_grid")
+    replicas = _as_int(_get(cfg, "replicas", 16), "replicas", low=1)
+    n = _as_int(_get(cfg, "n", 512), "n", low=1)
+    m_grid = _cutoff_grid(_get(cfg, "m_grid", [n // 8, n // 4, n // 2]), n)
     power = _parse_power(cfg)
     report = stochastic.random_tail_experiment(sym, dist, replicas, m_grid, n, rng, **power)
     rand_rows = [[row.m, row.q25, row.median, row.q75] for row in report.rows]
@@ -393,12 +393,8 @@ def _run_random_sim(cfg: dict) -> tuple[dict, list]:
 
 def _run_doublesum(cfg: dict) -> tuple[dict, list]:
     rng = _parse_seed(cfg)
-    count = _as_int(_get(cfg, "count", 1000), "count")
-    max_len = _as_int(_get(cfg, "max_len", 512), "max_len")
-    if count < 1:
-        raise ConfigError("count", "need count >= 1")
-    if max_len < 2:
-        raise ConfigError("max_len", "need max_len >= 2")
+    count = _as_int(_get(cfg, "count", 1000), "count", low=1)
+    max_len = _as_int(_get(cfg, "max_len", 512), "max_len", low=2)
     from . import _rng as rngmod
 
     rows = []
@@ -487,10 +483,6 @@ def serialize(report: dict, fmt: str) -> dict[str, bytes]:
         out["report.json"] = json.dumps(report, indent=2, sort_keys=True).encode() + b"\n"
         return out
     raise ConfigError("format", f"unknown format {fmt!r}; expected 'json' or 'csv'")
-
-
-def parse_report(data: bytes) -> dict:
-    return json.loads(data.decode())
 
 
 def _build_parser() -> argparse.ArgumentParser:

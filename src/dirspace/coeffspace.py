@@ -44,12 +44,6 @@ class TaylorPoly:
     def zero(cls, degree: int = 0) -> "TaylorPoly":
         return cls(np.zeros(degree + 1, dtype=np.complex128))
 
-    @classmethod
-    def monomial(cls, k: int, coeff: complex = 1.0) -> "TaylorPoly":
-        c = np.zeros(k + 1, dtype=np.complex128)
-        c[k] = coeff
-        return cls(c)
-
     def truncate(self, degree: int) -> "TaylorPoly":
         c = np.zeros(degree + 1, dtype=np.complex128)
         take = min(degree, self.degree) + 1
@@ -61,16 +55,6 @@ class TaylorPoly:
             return TaylorPoly.zero()
         n = np.arange(1, self.degree + 1)
         return TaylorPoly(n * self.coeffs[1:])
-
-    def __add__(self, other: "TaylorPoly") -> "TaylorPoly":
-        n = max(self.degree, other.degree)
-        c = np.zeros(n + 1, dtype=np.complex128)
-        c[: self.degree + 1] += self.coeffs
-        c[: other.degree + 1] += other.coeffs
-        return TaylorPoly(c)
-
-    def scale(self, c: complex) -> "TaylorPoly":
-        return TaylorPoly(self.coeffs * c)
 
 
 def weight_sequence(tag: str, n: int) -> np.ndarray:

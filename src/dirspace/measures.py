@@ -86,15 +86,6 @@ class MeasureSpec:
     def point_mass(cls, loc: float, mass: float = 1.0) -> "MeasureSpec":
         return cls(atoms=[(loc, mass)])
 
-    def describe(self) -> dict:
-        return {
-            "atoms": [{"loc": loc, "mass": mass} for loc, mass in self.atoms],
-            "densities": [
-                {"c": d.c, "gamma": d.gamma, "delta": d.delta, "kappa": d.kappa}
-                for d in self.densities
-            ],
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "MeasureSpec":
         if "named" in d:
@@ -139,14 +130,6 @@ class MeasureSpec:
         return out
 
 
-def moment_sequence(spec: MeasureSpec):
-    """Moment symbol of the measure (decreasing-positive automatically); it
-    evaluates and caches moments lazily."""
-    from .symbols import SymbolSeq
-
-    return SymbolSeq.from_measure(spec)
-
-
 def classify_measure(spec: MeasureSpec, kind: str, cfg=None):
     """Verdict for the Hankel/Cesaro operator with symbol mu_n.
 
@@ -154,8 +137,9 @@ def classify_measure(spec: MeasureSpec, kind: str, cfg=None):
     positive, so the governing theorems apply exactly.
     """
     from . import criteria
+    from .symbols import SymbolSeq
 
-    return criteria.classify(moment_sequence(spec), kind, cfg)
+    return criteria.classify(SymbolSeq.from_measure(spec), kind, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -31,15 +31,11 @@ _POWER_SEED = 0x1D5EED
 
 @dataclass(frozen=True)
 class SectionMatrix:
-    """Finite section of an operator or bilinear form in a weighted basis."""
+    """Finite section of a Hankel or Cesaro operator in a weighted basis."""
 
     entries: np.ndarray
     weight_tag: str
     kind: str
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
 
 
 def hankel_apply(s: SymbolSeq, f: TaylorPoly, n_out: int, n_inner: int | None = None) -> TaylorPoly:
@@ -87,24 +83,16 @@ def _section_entries(s: SymbolSeq, kind: str, tag: str, n: int, offset: int = 0)
         raise ValueError("need 0 <= offset < n and n >= 1")
     sq, inv = _sqrt_weights(n)
     sq, inv = sq[offset:], inv[offset:]
+    row_w, col_w = (sq, inv) if tag == "dirichlet-section" else (inv, sq)
     if kind == "hankel":
-        sym = s.values(np.arange(2 * offset, 2 * n - 1))
-        row_w, col_w = (sq, inv) if tag == "dirichlet-section" else (inv, sq)
-        return _accel.weighted_hankel(sym, row_w, col_w)
+        return _accel.weighted_hankel(s.values(np.arange(2 * offset, 2 * n - 1)), row_w, col_w)
     if kind == "cesaro":
-        diag = s.values(np.arange(offset, n))
-        row_w, col_w = (sq, inv) if tag == "dirichlet-section" else (inv, sq)
-        return _accel.weighted_triangular(diag, row_w, col_w)
-    if kind == "bilinear":
-        p = np.arange(2 * offset, 2 * n - 1)
-        g = p * np.conj(s.values(p))
-        row_w, col_w = (inv, inv) if tag == "dirichlet-section" else (sq, sq)
-        return _accel.weighted_hankel(g, row_w, col_w)
+        return _accel.weighted_triangular(s.values(np.arange(offset, n)), row_w, col_w)
     raise ValueError(f"unknown section kind {kind!r}")
 
 
 def section_matrix(s: SymbolSeq, kind: str, tag: str, n: int) -> SectionMatrix:
-    """n x n weighted finite section of the operator/bilinear form."""
+    """n x n weighted finite section of the Hankel or Cesaro operator."""
     return SectionMatrix(_section_entries(s, kind, tag, n), tag, kind)
 
 

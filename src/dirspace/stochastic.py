@@ -39,10 +39,6 @@ class DistTag:
     def scale(self) -> float:
         return _BASE_FOURTH[self.name] ** -0.25 if self.normalized else 1.0
 
-    @property
-    def fourth_moment(self) -> float:
-        return 1.0 if self.normalized else _BASE_FOURTH[self.name]
-
     def sample(self, seed: int, stream: int, indices) -> np.ndarray:
         if self.name == "rademacher":
             x = _rng.rademacher(seed, stream, indices)

@@ -67,11 +67,10 @@ class SymbolSeq:
     only grow) and safe to share across threads.
     """
 
-    def __init__(self, kind, params, monotone_flag, is_real):
+    def __init__(self, kind, params, monotone_flag):
         self.kind = kind
         self.params = params
         self.monotone_flag = monotone_flag
-        self.is_real = is_real
 
     # -- constructors -------------------------------------------------------
 
@@ -88,7 +87,7 @@ class SymbolSeq:
             flag = MONOTONE_DECREASING
         else:
             flag = MONOTONE_GENERAL
-        return cls("explicit", {"values": arr}, flag, real)
+        return cls("explicit", {"values": arr}, flag)
 
     @classmethod
     def powerlog(cls, alpha: float, beta: float, scale: float = 1.0) -> "SymbolSeq":
@@ -99,13 +98,12 @@ class SymbolSeq:
             "powerlog",
             {"alpha": float(alpha), "beta": float(beta), "scale": float(scale)},
             flag,
-            True,
         )
 
     @classmethod
     def from_measure(cls, measure) -> "SymbolSeq":
         """Moment sequence mu_n of a finite positive measure on [0, 1)."""
-        return cls("moments", {"measure": measure, "cache": None}, MONOTONE_DECREASING, True)
+        return cls("moments", {"measure": measure, "cache": None}, MONOTONE_DECREASING)
 
     @classmethod
     def lacunary(cls, support, values, ratio: float | None = None) -> "SymbolSeq":
@@ -122,12 +120,10 @@ class SymbolSeq:
             raise ValueError("lacunary support must have ratio q > 1")
         if np.iscomplexobj(vals) and np.any(vals.imag != 0.0):
             vals = vals.astype(np.complex128)
-            real = False
         else:
             vals = vals.real.astype(np.float64)
-            real = True
         params = {"support": support, "values": vals, "q": q, "rule": None}
-        return cls("lacunary", params, MONOTONE_GENERAL, real)
+        return cls("lacunary", params, MONOTONE_GENERAL)
 
     @classmethod
     def lacunary_rule(
@@ -155,14 +151,14 @@ class SymbolSeq:
             "q": float(ratio),
             "rule": rule,
         }
-        return cls("lacunary", params, MONOTONE_GENERAL, True)
+        return cls("lacunary", params, MONOTONE_GENERAL)
 
     @classmethod
     def randomized(cls, base: "SymbolSeq", dist, seed: int, stream: int = 0) -> "SymbolSeq":
         """Multiplier symbol X_n * conj(lambda_n); dist must expose
         sample(seed, stream, indices)."""
         params = {"base": base, "dist": dist, "seed": int(seed), "stream": int(stream)}
-        return cls("randomized", params, MONOTONE_GENERAL, base.is_real)
+        return cls("randomized", params, MONOTONE_GENERAL)
 
     # -- values -------------------------------------------------------------
 
@@ -229,32 +225,6 @@ class SymbolSeq:
         if self.kind == "randomized":
             return self.params["base"].finite_support_bound
         return None
-
-    def describe(self) -> dict:
-        d = {"kind": self.kind, "monotone": self.monotone_flag}
-        if self.kind == "explicit":
-            v = self.params["values"]
-            d["values"] = [complex(x) for x in v] if not self.is_real else [float(x) for x in v]
-        elif self.kind == "powerlog":
-            d.update({k: self.params[k] for k in ("alpha", "beta", "scale")})
-        elif self.kind == "moments":
-            d["measure"] = self.params["measure"].describe()
-        elif self.kind == "lacunary":
-            d["q"] = self.params["q"]
-            if self.params["rule"] is not None:
-                d["rule"] = dict(self.params["rule"])
-                d["start"] = int(self.params["support"][0])
-            else:
-                d["support"] = [int(x) for x in self.params["support"]]
-                d["values"] = [float(x) for x in self.params["values"]]
-        elif self.kind == "randomized":
-            d["base"] = self.params["base"].describe()
-            d["seed"] = self.params["seed"]
-            d["stream"] = self.params["stream"]
-            dist = self.params["dist"]
-            d["dist"] = getattr(dist, "name", str(dist))
-            d["normalized"] = bool(getattr(dist, "normalized", True))
-        return d
 
     # -- tail brackets ------------------------------------------------------
 
@@ -342,10 +312,7 @@ class SymbolSeq:
             return WidomTail(nmax + 1, 0.0, np.inf, divergent=True)
         self._extend_support(nmax)
         support = self.params["support"]
-        k0 = int(np.searchsorted(support, nmax, side="right"))
-        while k0 >= support.shape[0]:  # materialize the first tail point
-            self._extend_support(int(self.params["support"][-1]) + 1)
-            support = self.params["support"]
+        k0 = int(np.searchsorted(support, nmax, side="right"))  # support[-1] > nmax
         m0 = float(support[k0])
         if rho > 0.5:
             # w(n_k) <= 2 n_k, n_k >= m0 q^(k-k0), (k+1)^(-2p) <= (k0+1)^(-2p)

