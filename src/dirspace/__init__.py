@@ -20,7 +20,6 @@ from .criteria import (
 )
 from .measures import MeasureSpec, classify_measure
 from .operators import (
-    SectionMatrix,
     cesaro_apply,
     cesaro_rkt_norm,
     hankel_apply,
@@ -44,7 +43,6 @@ __all__ = [
     "TaylorPoly",
     "SymbolSeq",
     "MeasureSpec",
-    "SectionMatrix",
     "DistTag",
     "RngSpec",
     "ClassifyConfig",

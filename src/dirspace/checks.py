@@ -71,10 +71,15 @@ def quad_gram_entry(b: TaylorPoly, j: int, k: int) -> complex:
     return complex(disk_integral_mean(g, dc.shape[0] - 1 + max(j, k)))
 
 
-def _section_norm(sym, dim: int) -> float:
-    """Top singular value of the dim x dim Dirichlet-section Hankel matrix."""
-    section = operators.section_matrix(sym, "hankel", "dirichlet-section", dim)
-    return operators.top_singular_value(section)[0]
+def double_sum_battery(len_seed: int, vec_seed: int, stream: int, count: int, max_len: int) -> list:
+    """double_sum_ratio of ``count`` seeded vectors: vector i has length
+    2 + floor(U (max_len - 1)), U the uniform of (len_seed, stream + i) at
+    index 0, and entries the uniforms of (vec_seed, stream + i)."""
+    ratios = []
+    for i in range(count):
+        length = 2 + int(seeded_uniforms(len_seed, stream + i, 1)[0] * (max_len - 1))
+        ratios.append(criteria.double_sum_ratio(seeded_uniforms(vec_seed, stream + i, length))[2])
+    return ratios
 
 
 @dataclass(frozen=True)
@@ -137,7 +142,7 @@ def _duality(symbols, dims):
         for n in dims:
             a = operators.section_matrix(s, "hankel", "dirichlet-section", n)
             b = operators.section_matrix(s, "hankel", "bergman", n)
-            worst_entry = max(worst_entry, float(np.max(np.abs(a.entries.T - b.entries))))
+            worst_entry = max(worst_entry, float(np.max(np.abs(a.T - b))))
             sa, _ = operators.top_singular_value(a, tol=1e-13, max_iter=20000)
             sb, _ = operators.top_singular_value(b, tol=1e-13, max_iter=20000)
             worst_sigma = max(worst_sigma, abs(sa - sb) / max(sa, 1e-300))
@@ -185,7 +190,7 @@ def _hilbert(moments, dims):
     verdict = measures.classify_measure(spec, "hankel").verdict
     ok = ok and verdict == "unbounded"
     sym = SymbolSeq.from_measure(spec)
-    sigmas = [_section_norm(sym, dim) for dim in dims]
+    sigmas = [operators.tail_section_norm(sym, "hankel", 0, dim) for dim in dims]
     ok = ok and all(b > a for a, b in zip(sigmas, sigmas[1:]))
     ok = ok and sigmas[-1] / sigmas[0] >= 1.2  # frozen: full run gives 1.809
     return ok, f"verdict={verdict}, growth {sigmas[-1]/sigmas[0]:.3f}"
@@ -290,7 +295,7 @@ def _lacunary(cutoffs, n, dims, membership_nmax):
     out_d = SymbolSeq.lacunary_rule(start=1, ratio=2.0, decay=0.5, power=0.0)
     memb_out = criteria.dirichlet_membership(out_d, membership_nmax)
     ok = ok and memb_out.divergent
-    sigmas = [_section_norm(out_d, dim) for dim in dims]
+    sigmas = [operators.tail_section_norm(out_d, "hankel", 0, dim) for dim in dims]
     ok = ok and all(b > a for a, b in zip(sigmas, sigmas[1:]))
     ok = ok and sigmas[-1] / sigmas[0] >= 1.15  # frozen: full run gives 1.211
     return ok, f"min pair decay {min(pair_ratios):.2f}, norm growth {sigmas[-1]/sigmas[0]:.3f}"
@@ -299,11 +304,7 @@ def _lacunary(cutoffs, n, dims, membership_nmax):
 @_check(10, "doublesum", "hilbert double-sum ceiling",
         quick={"vectors": 50, "max_len": 256}, full={"vectors": 1000, "max_len": 512})
 def _double_sum(vectors, max_len):
-    mx = 0.0
-    for i in range(vectors):
-        length = 2 + int(seeded_uniforms(4242, i, 1)[0] * (max_len - 1))
-        vec = seeded_uniforms(4243, i, length)
-        mx = max(mx, criteria.double_sum_ratio(vec)[2])
+    mx = max(double_sum_battery(4242, 4243, 0, vectors, max_len))
     ok = np.isfinite(mx) and mx <= 10.0  # frozen: full run gives 1.294
     return ok, f"max ratio {mx:.3f}"
 
@@ -332,7 +333,7 @@ def _carleson_cross_check(n_grid, coupling_dim):
     ]
     coupling = []
     for sym in battery:
-        sigma = _section_norm(sym, coupling_dim)
+        sigma = operators.tail_section_norm(sym, "hankel", 0, coupling_dim)
         degree = 2 * coupling_dim
         coupling.append(sigma**2 / carleson.x_norm(carleson.symbol_poly(sym, degree), degree))
     ok = ok and all(1.0 / 50.0 <= r <= 50.0 for r in coupling)

@@ -15,14 +15,14 @@ increasing):
                   {"kind": "explicit", "values": [x | {"re","im"} ...]}
                   {"kind": "powerlog", "alpha": f, "beta": f, "scale": f=1}
                   {"kind": "moments", "measure": {...}}
-                  {"kind": "lacunary", "support": [int...], "values": [...],
+                  {"kind": "lacunary", "support": [int...], "values": [f...],
                    "q": f (optional)}
                   {"kind": "lacunary", "rule": {"decay": f, "power": f=0,
                    "scale": f=1}, "start": int=1, "q": f=2}
                   {"kind": "randomized", "base": {...}, "dist": name,
                    "normalized": bool=true, "seed": int, "stream": int=0}
     measure     {"atoms": [{"loc": f, "mass": f}...],
-                 "densities": [{"c": f, "gamma": f, "delta": f=0,
+                 "densities": [{"c": f, "gamma": f=0, "delta": f=0,
                  "kappa": f=0}...]} or {"named": "lebesgue"}
     kind        "hankel" | "cesaro" (default "hankel")
     route       classify only: "widom" (default) | "carleson"
@@ -45,6 +45,11 @@ increasing):
                 nothing else
     preset      demo only; one of the twelve check names in checks.py
                 (e.g. "hilbert", "widom-ladder") or "all"
+
+Symbol, rule, {"re", "im"}, measure, atom and density objects, like classify
+and power, take only the fields listed.  An error names the nested path of
+its field (e.g. symbol.base.beta, symbol.measure.densities[0].gama), or of
+its object when a constructor rejects the value's range.
 
 Every reported norm carries its section dimension; every tail carries its
 bracket; every stochastic value carries its seed.  Reports are byte-identical
@@ -81,14 +86,20 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _get(cfg: dict, key: str, default=None):
-    return cfg.get(key, default)
-
-
 def _require(cfg: dict, key: str, path: str = ""):
     if key not in cfg:
         raise ConfigError(f"{path}{key}", "required field missing")
     return cfg[key]
+
+
+def _fields(obj, path: str, allowed: tuple) -> dict:
+    """obj, which must be an object with no field outside ``allowed``."""
+    if not isinstance(obj, dict):
+        raise ConfigError(path, "expected an object")
+    for name in obj:
+        if name not in allowed:
+            raise ConfigError(f"{path}.{name}", f"unknown field; expected one of {list(allowed)}")
+    return obj
 
 
 def _as_int(value, path: str, low: int | None = None) -> int:
@@ -105,10 +116,38 @@ def _as_number(value, path: str) -> float:
     return float(value)
 
 
+def _numbers(obj, path: str, defaults: dict, other: tuple = ()) -> list:
+    """The number obj[key] for each key of ``defaults``, in order, required
+    where the default is None; obj may hold no field outside defaults and
+    ``other``."""
+    _fields(obj, path, (*other, *defaults))
+    return [
+        _as_number(_require(obj, key, f"{path}.") if default is None else obj.get(key, default), f"{path}.{key}")
+        for key, default in defaults.items()
+    ]
+
+
+def _as_value(value, path: str) -> complex | float:
+    """A symbol value: a number or {"re": f, "im": f=0}."""
+    if not isinstance(value, dict):
+        return _as_number(value, path)
+    re, im = _fields(value, path, ("re", "im")).get("re"), value.get("im", 0.0)
+    if type(re) is float and type(im) is float:  # the bulk of long value lists: no path to build
+        return complex(re, im)
+    return complex(*_numbers(value, path, {"re": None, "im": 0.0}))
+
+
+def _as_list(value, path: str, item) -> list:
+    """An array whose entry i is parsed by item(entry, f"{path}[{i}]")."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(path, "expected an array")
+    return [item(v, f"{path}[{i}]") for i, v in enumerate(value)]
+
+
 def _as_grid(value, path: str, integer: bool = True, low: int | None = None) -> list:
-    if not isinstance(value, (list, tuple)) or not value:
+    out = _as_list(value, path, _as_int if integer else _as_number)
+    if not out:
         raise ConfigError(path, "expected a nonempty array")
-    out = [_as_int(v, f"{path}[{i}]") if integer else _as_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
     if any(b <= a for a, b in zip(out, out[1:])):
         raise ConfigError(path, "grid must be strictly increasing")
     if low is not None and out[0] < low:
@@ -124,28 +163,65 @@ def _cutoff_grid(value, n: int) -> list:
     return m_grid
 
 
-def _parse_symbol(cfg: dict, path: str = "symbol") -> symbols.SymbolSeq:
-    if not isinstance(cfg, dict):
-        raise ConfigError(path, "expected an object")
+def _build(path: str, make, *args):
+    """make(*args), with a range check failing inside it reported at path."""
     try:
-        return symbols.from_dict(cfg)
-    except ConfigError:
-        raise
-    except (KeyError, ValueError, TypeError) as exc:
+        return make(*args)
+    except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
 
 
-def _parse_measure(cfg: dict, path: str = "measure") -> measures.MeasureSpec:
-    if not isinstance(cfg, dict):
+def _parse_symbol(obj, path: str = "symbol") -> symbols.SymbolSeq:
+    if not isinstance(obj, dict):
         raise ConfigError(path, "expected an object")
-    try:
-        return measures.MeasureSpec.from_dict(cfg)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(path, str(exc)) from exc
+    kind, p = obj.get("kind"), f"{path}."
+    if kind == "explicit":
+        _fields(obj, path, ("kind", "values"))
+        return symbols.SymbolSeq.explicit(_as_list(_require(obj, "values", p), f"{p}values", _as_value))
+    if kind == "powerlog":
+        args = _numbers(obj, path, {"alpha": None, "beta": None, "scale": 1.0}, ("kind",))
+        return _build(path, symbols.SymbolSeq.powerlog, *args)
+    if kind == "moments":
+        _fields(obj, path, ("kind", "measure"))
+        return symbols.SymbolSeq.from_measure(_parse_measure(_require(obj, "measure", p), f"{p}measure"))
+    if kind == "lacunary" and "rule" in obj:
+        _fields(obj, path, ("kind", "rule", "start", "q"))
+        rule = _numbers(obj["rule"], f"{p}rule", {"decay": None, "power": 0.0, "scale": 1.0})
+        start, q = _as_int(obj.get("start", 1), f"{p}start"), _as_number(obj.get("q", 2.0), f"{p}q")
+        return _build(path, symbols.SymbolSeq.lacunary_rule, start, q, *rule)
+    if kind == "lacunary":
+        _fields(obj, path, ("kind", "support", "values", "q"))
+        support = _as_list(_require(obj, "support", p), f"{p}support", _as_int)
+        values = _as_list(_require(obj, "values", p), f"{p}values", _as_number)
+        q = _as_number(obj["q"], f"{p}q") if "q" in obj else None
+        return _build(path, symbols.SymbolSeq.lacunary, support, values, q)
+    if kind == "randomized":
+        _fields(obj, path, ("kind", "base", "dist", "normalized", "seed", "stream"))
+        base = _parse_symbol(_require(obj, "base", p), f"{p}base")
+        rng = _parse_seed(obj, p)
+        return symbols.SymbolSeq.randomized(base, _parse_dist(obj, p), rng.seed, rng.stream)
+    raise ConfigError(path, f"unknown symbol kind {kind!r}; expected explicit, powerlog, moments, lacunary or randomized")
+
+
+def _parse_density(obj, path: str) -> measures.Density:
+    args = _numbers(obj, path, {"c": None, "gamma": 0.0, "delta": 0.0, "kappa": 0.0})
+    return _build(path, measures.Density, *args)
+
+
+def _parse_measure(obj, path: str = "measure") -> measures.MeasureSpec:
+    if isinstance(obj, dict) and "named" in obj:
+        _fields(obj, path, ("named",))
+        if obj["named"] != "lebesgue":
+            raise ConfigError(f"{path}.named", f"unknown named measure {obj['named']!r}; expected 'lebesgue'")
+        return measures.MeasureSpec.lebesgue()
+    _fields(obj, path, ("atoms", "densities"))
+    atoms = _as_list(obj.get("atoms", []), f"{path}.atoms", lambda a, at: _numbers(a, at, {"loc": None, "mass": None}))
+    densities = _as_list(obj.get("densities", []), f"{path}.densities", _parse_density)
+    return _build(path, measures.MeasureSpec, atoms, densities)
 
 
 def _parse_kind(cfg: dict) -> str:
-    kind = _get(cfg, "kind", "hankel")
+    kind = cfg.get("kind", "hankel")
     if kind not in ("hankel", "cesaro"):
         raise ConfigError("kind", f"expected 'hankel' or 'cesaro', got {kind!r}")
     return kind
@@ -153,13 +229,7 @@ def _parse_kind(cfg: dict) -> str:
 
 def _sub_config(cfg: dict, key: str, fields: tuple) -> dict:
     """The optional object cfg[key]; a field outside ``fields`` is an error."""
-    sub = _get(cfg, key, {})
-    if not isinstance(sub, dict):
-        raise ConfigError(key, "expected an object")
-    for name in sub:
-        if name not in fields:
-            raise ConfigError(f"{key}.{name}", f"unknown field; expected one of {list(fields)}")
-    return sub
+    return _fields(cfg.get(key, {}), key, fields)
 
 
 def _parse_classify_cfg(cfg: dict) -> criteria.ClassifyConfig:
@@ -185,24 +255,19 @@ def _parse_power(cfg: dict) -> dict:
 
 
 def _degree_grid(cfg: dict, default: list) -> list:
-    return _as_grid(_get(cfg, "n_grid", default), "n_grid", low=0)
+    return _as_grid(cfg.get("n_grid", default), "n_grid", low=0)
 
 
-def _parse_dist(cfg: dict) -> stochastic.DistTag:
-    name = _get(cfg, "dist", "rademacher")
-    normalized = _get(cfg, "normalized", True)
+def _parse_dist(cfg: dict, prefix: str = "") -> stochastic.DistTag:
+    normalized = cfg.get("normalized", True)
     if not isinstance(normalized, bool):
-        raise ConfigError("normalized", "expected a boolean")
-    try:
-        return stochastic.DistTag(name, normalized)
-    except ValueError as exc:
-        raise ConfigError("dist", str(exc)) from exc
+        raise ConfigError(f"{prefix}normalized", "expected a boolean")
+    return _build(f"{prefix}dist", stochastic.DistTag, cfg.get("dist", "rademacher"), normalized)
 
 
-def _parse_seed(cfg: dict) -> stochastic.RngSpec:
-    seed = _as_int(_require(cfg, "seed"), "seed")
-    stream = _as_int(_get(cfg, "stream", 0), "stream")
-    return stochastic.RngSpec(seed, stream)
+def _parse_seed(cfg: dict, prefix: str = "") -> stochastic.RngSpec:
+    seed = _as_int(_require(cfg, "seed", prefix), f"{prefix}seed")
+    return stochastic.RngSpec(seed, _as_int(cfg.get("stream", 0), f"{prefix}stream"))
 
 
 def _curve(label: str, rows, meta=None) -> dict:
@@ -227,29 +292,26 @@ def _profile_rows(profile):
 
 def _run_classify(cfg: dict) -> tuple[dict, list]:
     has_symbol = "symbol" in cfg
-    has_measure = "measure" in cfg
-    if has_symbol == has_measure:
+    if has_symbol == ("measure" in cfg):
         raise ConfigError("symbol", "provide exactly one of 'symbol' or 'measure'")
     kind = _parse_kind(cfg)
     ccfg = _parse_classify_cfg(cfg)
-    route = _get(cfg, "route", "widom")
+    route = cfg.get("route", "widom")
     if route not in ("widom", "carleson"):
         raise ConfigError("route", f"expected 'widom' or 'carleson', got {route!r}")
-    if route == "carleson":
-        if not has_symbol:
-            raise ConfigError("route", "the carleson route needs a 'symbol'")
-        if kind != "hankel":
-            raise ConfigError("kind", "the carleson route classifies Hankel operators only")
+    if route == "carleson" and not has_symbol:
+        raise ConfigError("route", "the carleson route needs a 'symbol'")
+    if route == "carleson" and kind != "hankel":
+        raise ConfigError("kind", "the carleson route classifies Hankel operators only")
+    if has_symbol:
         sym = _parse_symbol(cfg["symbol"])
+    else:
+        sym = symbols.SymbolSeq.from_measure(_parse_measure(cfg["measure"]))
+    if route == "carleson":
         n_grid = _degree_grid(cfg, [64, 128, 256, 512])
         report = carleson.classify_hankel_general(carleson.symbol_poly(sym, max(n_grid)), n_grid)
         curves = [_curve("xnorm_vs_degree", _profile_rows(report.profile))]
-    elif has_measure:
-        spec = _parse_measure(cfg["measure"])
-        report = measures.classify_measure(spec, kind, ccfg)
-        curves = [_curve("widom_profile", _profile_rows(report.profile), {"nmax": ccfg.nmax})]
     else:
-        sym = _parse_symbol(cfg["symbol"])
         report = criteria.classify(sym, kind, ccfg)
         curves = [_curve("widom_profile", _profile_rows(report.profile), {"nmax": ccfg.nmax})]
     results = {
@@ -264,15 +326,14 @@ def _run_sections(cfg: dict) -> tuple[dict, list]:
     sym = _parse_symbol(_require(cfg, "symbol"))
     kind = _parse_kind(cfg)
     power = _parse_power(cfg)
-    n_grid = _as_grid(_get(cfg, "n_grid", [64, 128, 256, 512, 1024]), "n_grid", low=1)
+    n_grid = _as_grid(cfg.get("n_grid", [64, 128, 256, 512, 1024]), "n_grid", low=1)
     n_top = max(n_grid)
-    m_grid = _get(cfg, "m_grid")
+    m_grid = cfg.get("m_grid")
     if m_grid is not None:
         m_grid = _cutoff_grid(m_grid, n_top)
     norm_rows = []
     for n in n_grid:
-        sec = operators.section_matrix(sym, kind, "dirichlet-section", n)
-        sigma, _ = operators.top_singular_value(sec, **power)
+        sigma = operators.tail_section_norm(sym, kind, 0, n, **power)
         norm_rows.append([n, sigma, sigma, sigma])
     curves = [_curve("section_norm_vs_n", norm_rows, {"weight": "dirichlet-section"})]
     if m_grid is not None:
@@ -295,7 +356,7 @@ def _run_rkt(cfg: dict) -> tuple[dict, list]:
     t_grid = _as_grid(_require(cfg, "t_grid"), "t_grid", integer=False)
     if t_grid[0] < 0.0 or t_grid[-1] >= 1.0:
         raise ConfigError("t_grid", "kernel points must lie in [0, 1)")
-    n = _as_int(_get(cfg, "n", 256), "n", low=0)
+    n = _as_int(cfg.get("n", 256), "n", low=0)
     probe = criteria.rkt_probe(sym, kind, t_grid, n)
     est_rows = [[r.t, r.estimate, r.estimate, r.estimate] for r in probe.rows]
     tail_rows = [[r.t, r.kernel_tail, r.kernel_tail, r.kernel_tail] for r in probe.rows]
@@ -315,7 +376,7 @@ def _run_rkt(cfg: dict) -> tuple[dict, list]:
 
 def _run_moments(cfg: dict) -> tuple[dict, list]:
     spec = _parse_measure(_require(cfg, "measure"))
-    n = _as_int(_get(cfg, "n", 64), "n", low=0)
+    n = _as_int(cfg.get("n", 64), "n", low=0)
     ccfg = _parse_classify_cfg(cfg)
     sym = symbols.SymbolSeq.from_measure(spec)
     mom = sym.values(np.arange(n + 1))
@@ -332,7 +393,7 @@ def _run_carleson(cfg: dict) -> tuple[dict, list]:
     sym = _parse_symbol(_require(cfg, "symbol"))
     n_grid = _degree_grid(cfg, [64, 128, 256])
     delta_grid = _as_grid(
-        _get(cfg, "delta_grid", sorted(carleson.DELTA_SCHEDULE)),
+        cfg.get("delta_grid", sorted(carleson.DELTA_SCHEDULE)),
         "delta_grid",
         integer=False,
     )
@@ -365,9 +426,9 @@ def _run_random_sim(cfg: dict) -> tuple[dict, list]:
     sym = _parse_symbol(_require(cfg, "symbol"))
     dist = _parse_dist(cfg)
     rng = _parse_seed(cfg)
-    replicas = _as_int(_get(cfg, "replicas", 16), "replicas", low=1)
-    n = _as_int(_get(cfg, "n", 512), "n", low=1)
-    m_grid = _cutoff_grid(_get(cfg, "m_grid", [n // 8, n // 4, n // 2]), n)
+    replicas = _as_int(cfg.get("replicas", 16), "replicas", low=1)
+    n = _as_int(cfg.get("n", 512), "n", low=1)
+    m_grid = _cutoff_grid(cfg.get("m_grid", sorted({n // 8, n // 4, n // 2})), n)
     power = _parse_power(cfg)
     report = stochastic.random_tail_experiment(sym, dist, replicas, m_grid, n, rng, **power)
     rand_rows = [[row.m, row.q25, row.median, row.q75] for row in report.rows]
@@ -393,25 +454,18 @@ def _run_random_sim(cfg: dict) -> tuple[dict, list]:
 
 def _run_doublesum(cfg: dict) -> tuple[dict, list]:
     rng = _parse_seed(cfg)
-    count = _as_int(_get(cfg, "count", 1000), "count", low=1)
-    max_len = _as_int(_get(cfg, "max_len", 512), "max_len", low=2)
-    from . import _rng as rngmod
-
-    rows = []
-    max_ratio, argmax = 0.0, 0
-    for i in range(count):
-        length = 2 + int(rngmod.uniforms(rng.seed, rng.stream + i, np.array([0]))[0] * (max_len - 1))
-        vec = rngmod.uniforms(rng.seed ^ 0xA5A5, rng.stream + i, np.arange(length))
-        _, _, ratio = criteria.double_sum_ratio(vec)
-        rows.append([i, ratio, ratio, ratio])
-        if ratio > max_ratio:
-            max_ratio, argmax = ratio, i
+    count = _as_int(cfg.get("count", 1000), "count", low=1)
+    max_len = _as_int(cfg.get("max_len", 512), "max_len", low=2)
+    ratios = checks.double_sum_battery(rng.seed, rng.seed ^ 0xA5A5, rng.stream, count, max_len)
+    rows = [[i, ratio, ratio, ratio] for i, ratio in enumerate(ratios)]
+    max_ratio = max(ratios)
+    argmax = ratios.index(max_ratio)
     curves = [_curve("double_sum_ratio_per_vector", rows, {"seed": rng.seed})]
     return {"max_ratio": max_ratio, "argmax_vector": argmax, "seed": rng.seed}, curves
 
 
 def _run_demo(cfg: dict) -> tuple[dict, list]:
-    preset = _get(cfg, "preset", "all")
+    preset = cfg.get("preset", "all")
     if not isinstance(preset, str):
         raise ConfigError("preset", f"expected a check name or 'all', got {preset!r}")
     registry = {check.name: check for check in checks.CHECKS}

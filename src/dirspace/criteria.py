@@ -3,8 +3,8 @@
 The governing quantity is the weighted tail S(m) = sum_{n >= m} n |lambda_n|^2.
 Boundedness corresponds to S(m) = O(1/log(m+2)) and compactness to the
 little-o version.  Every tail bracket (widom_tail, dirichlet_membership,
-widom_profile) comes from _tail_brackets: a padded partial sum per cutoff plus
-the symbol's certified remainder.  The normalized profile
+widom_profile) comes from SymbolSeq.tail_brackets: a padded partial sum per
+cutoff plus the symbol's certified remainder.  The normalized profile
 P(m) = S(m) * log(m+2) over a dyadic grid of cutoffs goes into every report.
 
 Verdicts come from the closed-form order of S(m) (SymbolSeq.widom_class),
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import operators
 from .coeffspace import kernel_degree_for_tail, normalized_kernel_coeffs, space_norm
-from .symbols import _SUM_PAD, MONOTONE_DECREASING, SymbolSeq, WidomTail, _weight_values
+from .symbols import MONOTONE_DECREASING, SymbolSeq, WidomTail
 
 DIVERGENCE_CAP = 10.0  # symbols without a closed form: unbounded past this
 
@@ -69,48 +69,22 @@ class ProbeReport:
     notes: list = field(default_factory=list)
 
 
-def _tail_brackets(s: SymbolSeq, m_grid, nmax: int, weight: str) -> list[WidomTail]:
-    """Brackets of sum_{n >= m} w(n) |lambda_n|^2 at each cutoff of an
-    increasing grid: the partial sum over [m, hi], padded by _SUM_PAD, plus the
-    symbol's remainder beyond hi = max(nmax, last index that can be nonzero)."""
-    m_grid = [int(m) for m in m_grid]
-    if not m_grid or any(b <= a for a, b in zip(m_grid, m_grid[1:])):
-        raise ValueError("cutoff grid must be nonempty and strictly increasing")
-    if m_grid[0] < 0:
-        raise ValueError("cutoff must be >= 0")
-    if nmax < 0:
-        raise ValueError("nmax must be >= 0")
-    hi = max(nmax, s.finite_support_bound or 0)
-    n = s.support_between(m_grid[0], hi)
-    terms = _weight_values(weight, n) * np.abs(s.values(n)) ** 2
-    rem = s.tail_remainder(hi, weight)
-    brackets = []
-    for m in m_grid:
-        # pairwise per-cutoff sums: cheaper-looking running sums accumulate
-        # too much rounding for the certified brackets
-        partial = float(np.sum(terms[np.searchsorted(n, m) :]))
-        pad = _SUM_PAD * partial
-        lower = max(partial - pad + rem.lower, 0.0)
-        brackets.append(WidomTail(m, lower, partial + pad + rem.upper, rem.divergent))
-    return brackets
-
-
 def widom_tail(s: SymbolSeq, m: int, nmax: int = 2**18) -> WidomTail:
     """Bracket for S(m) = sum_{n >= m} n |lambda_n|^2."""
-    return _tail_brackets(s, [m], nmax, "widom")[0]
+    return s.tail_brackets([m], nmax)[0]
 
 
 def dirichlet_membership(s: SymbolSeq, nmax: int = 2**18) -> WidomTail:
     """Bracket for sum_n (n+1) |lambda_n|^2 (finite iff h_lambda lies in the
     Dirichlet space)."""
-    return _tail_brackets(s, [0], nmax, "membership")[0]
+    return s.tail_brackets([0], nmax, "membership")[0]
 
 
 def widom_profile(s: SymbolSeq, m_grid, nmax: int = 2**18) -> list[WidomTail]:
     """Brackets of S(m) * log(m+2) over an increasing grid of cutoffs."""
     return [
         WidomTail(t.m, t.lower * np.log(t.m + 2.0), t.upper * np.log(t.m + 2.0), t.divergent)
-        for t in _tail_brackets(s, m_grid, nmax, "widom")
+        for t in s.tail_brackets(m_grid, nmax)
     ]
 
 

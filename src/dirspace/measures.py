@@ -25,6 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from . import criteria
+from .symbols import SymbolSeq
+
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 _GRADE_LEVELS = 80  # dyadic panels down to widths 2^-80
 _BLOCK = 256  # index block length B of the factored product t^(qB) t^r
@@ -86,25 +89,6 @@ class MeasureSpec:
     def point_mass(cls, loc: float, mass: float = 1.0) -> "MeasureSpec":
         return cls(atoms=[(loc, mass)])
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "MeasureSpec":
-        if "named" in d:
-            name = d["named"]
-            if name == "lebesgue":
-                return cls.lebesgue()
-            raise ValueError(f"unknown named measure {name!r}")
-        atoms = [(a["loc"], a["mass"]) for a in d.get("atoms", [])]
-        densities = [
-            Density(
-                c=x["c"],
-                gamma=x.get("gamma", 0.0),
-                delta=x.get("delta", 0.0),
-                kappa=x.get("kappa", 0.0),
-            )
-            for x in d.get("densities", [])
-        ]
-        return cls(atoms=atoms, densities=densities)
-
     # -- moments ------------------------------------------------------------
 
     def moment(self, n: int) -> float:
@@ -136,9 +120,6 @@ def classify_measure(spec: MeasureSpec, kind: str, cfg=None):
     Delegates to the sequence classifier; moment symbols are decreasing and
     positive, so the governing theorems apply exactly.
     """
-    from . import criteria
-    from .symbols import SymbolSeq
-
     return criteria.classify(SymbolSeq.from_measure(spec), kind, cfg)
 
 

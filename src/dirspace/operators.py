@@ -15,8 +15,6 @@ norm via the equivalence factor sqrt(2) and are reported as such by callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import _accel, _rng
@@ -29,32 +27,11 @@ SECTION_TAGS = ("dirichlet-section", "bergman")
 _POWER_SEED = 0x1D5EED
 
 
-@dataclass(frozen=True)
-class SectionMatrix:
-    """Finite section of a Hankel or Cesaro operator in a weighted basis."""
-
-    entries: np.ndarray
-    weight_tag: str
-    kind: str
-
-
-def hankel_apply(s: SymbolSeq, f: TaylorPoly, n_out: int, n_inner: int | None = None) -> TaylorPoly:
-    """b_n = sum_{k <= n_inner} lambda_{n+k} a_k for n = 0..n_out.
-
-    Exact for polynomial f (the inner sum is finite).  Passing
-    n_inner < deg f truncates f first; the result then carries no tail
-    control.
-    """
-    if n_inner is None:
-        n_inner = f.degree
-    k_top = min(n_inner, f.degree)
-    a = f.coeffs[: k_top + 1]
-    sym = s.values(np.arange(0, n_out + k_top + 1))
-    if np.iscomplexobj(a) or np.iscomplexobj(sym):
-        sym = sym.astype(np.complex128)
-        a = a.astype(np.complex128)
-    out = _accel.hankel_dot(sym, a, n_out)
-    return TaylorPoly(out)
+def hankel_apply(s: SymbolSeq, f: TaylorPoly, n_out: int) -> TaylorPoly:
+    """b_n = sum_k lambda_{n+k} a_k for n = 0..n_out; exact for polynomial f
+    (the inner sum is finite)."""
+    sym = s.values(np.arange(0, n_out + f.degree + 1)).astype(np.complex128)  # f.coeffs are complex
+    return TaylorPoly(_accel.hankel_dot(sym, f.coeffs, n_out))
 
 
 def cesaro_apply(s: SymbolSeq, f: TaylorPoly, n_out: int) -> TaylorPoly:
@@ -91,9 +68,9 @@ def _section_entries(s: SymbolSeq, kind: str, tag: str, n: int, offset: int = 0)
     raise ValueError(f"unknown section kind {kind!r}")
 
 
-def section_matrix(s: SymbolSeq, kind: str, tag: str, n: int) -> SectionMatrix:
+def section_matrix(s: SymbolSeq, kind: str, tag: str, n: int) -> np.ndarray:
     """n x n weighted finite section of the Hankel or Cesaro operator."""
-    return SectionMatrix(_section_entries(s, kind, tag, n), tag, kind)
+    return _section_entries(s, kind, tag, n)
 
 
 def default_max_iter(n: int) -> int:
@@ -103,7 +80,7 @@ def default_max_iter(n: int) -> int:
 def top_singular_value(m, tol: float = 1e-10, max_iter: int | None = None):
     """Largest singular value via power iteration on v -> M^H (M v).
 
-    Accepts a SectionMatrix or a 2-D array with both dimensions >= 1.  The
+    Accepts a 2-D array with both dimensions >= 1.  The
     start vector is a fixed seeded pseudo-random unit vector, so results are
     reproducible.  Returns (sigma, converged); converged is False when
     max_iter was exhausted, in which case sigma is the best (lower) estimate
@@ -113,7 +90,7 @@ def top_singular_value(m, tol: float = 1e-10, max_iter: int | None = None):
         raise ValueError("tolerance must be positive")
     if max_iter is not None and max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    arr = m.entries if isinstance(m, SectionMatrix) else np.asarray(m)
+    arr = np.asarray(m)
     if arr.ndim != 2 or 0 in arr.shape:
         raise ValueError(f"need a 2-D matrix with both dimensions >= 1, got shape {arr.shape}")
     if max_iter is None:

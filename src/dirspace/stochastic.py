@@ -56,10 +56,9 @@ class RngSpec:
 
 
 def sample_symbol(s: SymbolSeq, d: DistTag, rng: RngSpec, n: int) -> SymbolSeq:
-    """Explicit symbol omega_k = X_k * conj(lambda_k), k = 0..n."""
-    idx = np.arange(n + 1)
-    x = d.sample(rng.seed, rng.stream, idx)
-    out = SymbolSeq.explicit(x * np.conj(s.values(idx)))
+    """Explicit symbol omega_k = X_k * conj(lambda_k), k = 0..n: the first
+    n + 1 values of SymbolSeq.randomized."""
+    out = SymbolSeq.explicit(SymbolSeq.randomized(s, d, rng.seed, rng.stream).values(np.arange(n + 1)))
     out.monotone_flag = MONOTONE_GENERAL  # randomized symbols never claim monotonicity
     return out
 

@@ -240,11 +240,7 @@ class SymbolSeq:
             if bound <= nmax:
                 return WidomTail(nmax + 1, 0.0, 0.0)
             # finite symbol with support past nmax: sum the leftover exactly
-            n = np.arange(nmax + 1, bound + 1)
-            vals = self.values(n)
-            rest = float(np.sum(_weight_values(weight, n) * np.abs(vals) ** 2))
-            pad = _SUM_PAD * rest
-            return WidomTail(nmax + 1, max(rest - pad, 0.0), rest + pad)
+            return self.tail_brackets([nmax + 1], nmax, weight)[0]
         if self.kind == "powerlog":
             return _powerlog_tail(self.params, nmax, weight)
         if self.kind == "moments":
@@ -253,6 +249,37 @@ class SymbolSeq:
             return self._lacunary_rule_tail(nmax, weight)
         # randomized and other kinds: not certified
         return WidomTail(nmax + 1, 0.0, np.inf)
+
+    def tail_brackets(self, m_grid, nmax: int, weight: str = "widom") -> list[WidomTail]:
+        """Brackets of sum_{n >= m} w(n) |lambda_n|^2 at each cutoff of an
+        increasing grid.  With hi = max(nmax, last index that can be
+        nonzero), a cutoff m <= hi gets the partial sum over [m, hi], padded
+        by _SUM_PAD, plus the remainder beyond hi; a cutoff past hi gets the
+        remainder beyond m - 1 alone, so it never depends on the rest of the
+        grid."""
+        m_grid = [int(m) for m in m_grid]
+        if not m_grid or any(b <= a for a, b in zip(m_grid, m_grid[1:])):
+            raise ValueError("cutoff grid must be nonempty and strictly increasing")
+        if m_grid[0] < 0:
+            raise ValueError("cutoff must be >= 0")
+        if nmax < 0:
+            raise ValueError("nmax must be >= 0")
+        hi = max(nmax, self.finite_support_bound or 0)
+        n = self.support_between(m_grid[0], hi)
+        terms = _weight_values(weight, n) * np.abs(self.values(n)) ** 2
+        rem = self.tail_remainder(hi, weight)
+        brackets = []
+        for m in m_grid:
+            if m > hi:
+                brackets.append(self.tail_remainder(m - 1, weight))
+                continue
+            # pairwise per-cutoff sums: cheaper-looking running sums accumulate
+            # too much rounding for the certified brackets
+            partial = float(np.sum(terms[np.searchsorted(n, m) :]))
+            pad = _SUM_PAD * partial
+            lower = max(partial - pad + rem.lower, 0.0)
+            brackets.append(WidomTail(m, lower, partial + pad + rem.upper, rem.divergent))
+        return brackets
 
     def widom_class(self) -> str | None:
         """Closed-form order of S(m) = sum_{n >= m} n |lambda_n|^2 against
@@ -400,32 +427,3 @@ def _geom_tail(x: float, nmax: int, weight: str) -> float:
     if weight == "widom":
         return x ** (nmax + 1) * ((nmax + 1) - nmax * x) / (one * one)
     return x ** (nmax + 1) * ((nmax + 2) - (nmax + 1) * x) / (one * one)
-
-
-def from_dict(d: dict) -> SymbolSeq:
-    """Build a symbol from its configuration dictionary (CLI schema)."""
-    kind = d.get("kind")
-    if kind == "explicit":
-        vals = d["values"]
-        vals = [complex(v["re"], v.get("im", 0.0)) if isinstance(v, dict) else v for v in vals]
-        return SymbolSeq.explicit(vals)
-    if kind == "powerlog":
-        return SymbolSeq.powerlog(d["alpha"], d["beta"], d.get("scale", 1.0))
-    if kind == "moments":
-        from . import measures
-
-        return SymbolSeq.from_measure(measures.MeasureSpec.from_dict(d["measure"]))
-    if kind == "lacunary":
-        if "rule" in d:
-            r = d["rule"]
-            return SymbolSeq.lacunary_rule(
-                d.get("start", 1), d.get("q", 2.0), r["decay"], r.get("power", 0.0), r.get("scale", 1.0)
-            )
-        return SymbolSeq.lacunary(d["support"], d["values"], d.get("q"))
-    if kind == "randomized":
-        from . import stochastic
-
-        base = from_dict(d["base"])
-        dist = stochastic.DistTag(d.get("dist", "rademacher"), d.get("normalized", True))
-        return SymbolSeq.randomized(base, dist, d["seed"], d.get("stream", 0))
-    raise ValueError(f"unknown symbol kind {kind!r}")

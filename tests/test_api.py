@@ -7,6 +7,7 @@ longer resolves drops out of the benchmark silently, so a deletion under
 perfbench as it stands.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -16,6 +17,7 @@ import pytest
 import dirspace
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+SRC = Path(dirspace.__file__).resolve().parent
 
 
 def _tracer_targets():
@@ -39,3 +41,13 @@ def test_traced_target_resolves(module, path):
     for attr in path.split("."):
         owner = getattr(owner, attr)
     assert callable(owner)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_no_function_level_imports(path):
+    # imports sit at module level, so the import graph is read off the headers
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            lines = [n.lineno for n in ast.walk(func) if isinstance(n, (ast.Import, ast.ImportFrom))]
+            assert not lines, f"{path.name}: import inside {func.name} at line(s) {lines}"

@@ -1,10 +1,18 @@
 import copy
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dirspace import checks, cli
+from dirspace.measures import Density, MeasureSpec
+from dirspace.stochastic import DistTag
+from dirspace.symbols import SymbolSeq
+
+JOBS = Path(__file__).resolve().parent.parent / "perfbench" / "jobs.py"
 
 
 def run_config(config):
@@ -84,6 +92,9 @@ def test_random_sim_rejects_zero_replicas():
     assert err.value.path == "replicas"
 
 
+POWERLOG = {"kind": "powerlog", "alpha": 1.0, "beta": 1.0}
+
+
 @pytest.mark.parametrize(
     "config, path",
     [
@@ -122,6 +133,21 @@ def test_random_sim_rejects_zero_replicas():
           "n_grid": [8, 16], "m_grid": [-1, 4]}, "m_grid"),
         ({"command": "random-sim", "symbol": {"kind": "powerlog", "alpha": 1.0, "beta": 1.0},
           "n": 16, "m_grid": [4, 20], "seed": 1}, "m_grid"),
+        ({"command": "classify", "symbol": {"kind": "randomized", "base": POWERLOG, "normalized": "false",
+                                            "seed": 1}}, "symbol.normalized"),
+        ({"command": "classify", "symbol": {"kind": "randomized", "base": POWERLOG, "seed": 1.5}}, "symbol.seed"),
+        ({"command": "classify", "symbol": {"kind": "randomized", "base": POWERLOG, "seed": True}}, "symbol.seed"),
+        ({"command": "classify", "symbol": {"kind": "randomized", "base": {"kind": "powerlog", "alpha": 1.0},
+                                            "seed": 1}}, "symbol.base.beta"),
+        ({"command": "classify", "symbol": {"kind": "powerlog", "alpha": True, "beta": 1.0}}, "symbol.alpha"),
+        ({"command": "classify", "symbol": {"kind": "powerlog", "alpha": "1", "beta": 1.0}}, "symbol.alpha"),
+        ({"command": "classify", "symbol": {"kind": "lacunary", "rule": {"decay": 0.7}, "start": 1.7}},
+         "symbol.start"),
+        ({"command": "classify", "symbol": {"kind": "explicit", "values": [{"re": 1, "imag": 2}]}},
+         "symbol.values[0].imag"),
+        ({"command": "classify", "measure": {"atoms": [{"loc": "0.5", "mass": 1.0}]}}, "measure.atoms[0].loc"),
+        ({"command": "classify", "symbol": {"kind": "moments", "measure": {"densities": [{"c": 1, "gama": 0.5}]}}},
+         "symbol.measure.densities[0].gama"),
     ],
 )
 def test_config_error_path(config, path):
@@ -141,6 +167,77 @@ def test_random_sim_precondition_message():
     }
     with pytest.raises(ValueError, match="Dirichlet space"):
         run_config(cfg)
+
+
+def test_symbol_describe_roundtrip():
+    for cfg, s in [
+        ({"kind": "explicit", "values": [1.0, 0.5, 0.25]}, SymbolSeq.explicit([1.0, 0.5, 0.25])),
+        ({"kind": "powerlog", "alpha": 1.0, "beta": 1.5, "scale": 2.0}, SymbolSeq.powerlog(1.0, 1.5, 2.0)),
+        (
+            {"kind": "moments", "measure": {"atoms": [{"loc": 0.5, "mass": 1.0}]}},
+            SymbolSeq.from_measure(MeasureSpec.point_mass(0.5)),
+        ),
+        (
+            {"kind": "lacunary", "support": [1, 4, 16], "values": [1.0, 0.5, 0.25]},
+            SymbolSeq.lacunary([1, 4, 16], [1.0, 0.5, 0.25]),
+        ),
+        (
+            {"kind": "lacunary", "start": 1, "q": 2.0, "rule": {"decay": 0.5, "power": 1.0}},
+            SymbolSeq.lacunary_rule(1, 2.0, 0.5, 1.0),
+        ),
+        (
+            {
+                "kind": "randomized",
+                "base": {"kind": "powerlog", "alpha": 1.0, "beta": 1.0},
+                "dist": "uniform-symmetric",
+                "normalized": False,
+                "seed": 3,
+                "stream": 1,
+            },
+            SymbolSeq.randomized(
+                SymbolSeq.powerlog(1.0, 1.0), DistTag("uniform-symmetric", normalized=False), 3, 1
+            ),
+        ),
+    ]:
+        idx = np.arange(40)
+        assert np.array_equal(cli._parse_symbol(cfg).values(idx), s.values(idx))
+
+
+def test_measure_describe_roundtrip():
+    spec = MeasureSpec(atoms=[(0.25, 1.5)], densities=[Density(c=2.0, gamma=0.5, delta=1.0)])
+    again = cli._parse_measure(
+        {"atoms": [{"loc": 0.25, "mass": 1.5}], "densities": [{"c": 2.0, "gamma": 0.5, "delta": 1.0}]}
+    )
+    n = np.arange(30)
+    assert np.allclose(spec.moments(n), again.moments(n))
+    named = cli._parse_measure({"named": "lebesgue"})
+    assert named.moment(9) == pytest.approx(0.1)
+
+
+def _benchmark_jobs():
+    spec = importlib.util.spec_from_file_location("perfbench_jobs", JOBS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    for workload in module.WORKLOADS:
+        for seed in (101, 102):
+            wl = module.generate(workload, seed)
+            for kind, jobs in (("warmup", wl.warmup), ("job", wl.jobs)):
+                for i, job in enumerate(jobs):
+                    yield f"{workload}-{seed}-{kind}{i}", job
+
+
+def test_benchmark_jobs_parse():
+    # every job and warm-up of the benchmark workloads passes the config parser
+    parsed = 0
+    for name, job in _benchmark_jobs():
+        if "symbol" in job:
+            assert isinstance(cli._parse_symbol(job["symbol"]), SymbolSeq), name
+            parsed += 1
+        if "measure" in job:
+            assert isinstance(cli._parse_measure(job["measure"]), MeasureSpec), name
+            parsed += 1
+    assert parsed > 0
 
 
 # -- commands -----------------------------------------------------------------
@@ -175,7 +272,7 @@ def test_complex_explicit_symbol_via_re_im():
     from dirspace import SymbolSeq, section_matrix
 
     ref = section_matrix(SymbolSeq.explicit([1.0 + 2.0j, 0.5]), "hankel", "dirichlet-section", 8)
-    want = np.linalg.svd(ref.entries, compute_uv=False)[0]
+    want = np.linalg.svd(ref, compute_uv=False)[0]
     assert report["results"]["top_section_norm"] == pytest.approx(want, rel=1e-9)
 
 
@@ -303,6 +400,14 @@ def test_random_sim_command_and_seed():
     report = run_config(cfg)
     assert report["results"]["seed"] == 77
     assert len(report["curves"][0]["rows"]) == 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_random_sim_small_n_default_cutoffs(n):
+    # the default cutoffs n // 8, n // 4, n // 2 coincide for small n
+    cfg = {"command": "random-sim", "symbol": POWERLOG, "replicas": 2, "n": n, "seed": 3}
+    report = run_config(cfg)
+    assert [row[0] for row in report["curves"][0]["rows"]] == sorted({n // 8, n // 4, n // 2})
 
 
 def test_random_sim_honours_power_max_iter():

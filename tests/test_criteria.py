@@ -176,6 +176,20 @@ def test_tail_brackets_agree_across_entry_points(sym, nmax, m_grid):
         assert max(t.lower, deep_lower) <= min(t.upper, deep_upper)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: SymbolSeq.powerlog(1.0, 1.5), lambda: SymbolSeq.lacunary_rule(1, 2.0, 0.7, 0.0)],
+    ids=["powerlog", "lacunary-rule"],
+)
+def test_tail_bracket_past_nmax_meets_deep_bracket(make):
+    # a cutoff beyond nmax still gets a bracket of its own tail, not of the
+    # larger tail beyond nmax
+    sym = make()
+    for m in (2048, 16384):
+        shallow, deep = widom_tail(sym, m, 1024), widom_tail(sym, m, 2**20)
+        assert max(shallow.lower, deep.lower) <= min(shallow.upper, deep.upper)
+
+
 # -- classify -----------------------------------------------------------------
 
 

@@ -198,14 +198,3 @@ def test_classify_measure_verdicts():
     assert classify_measure(MeasureSpec(), "hankel").verdict == "compact"
     rep = classify_measure(MeasureSpec.point_mass(0.5), "cesaro")
     assert rep.applicability == "theorem-exact"
-
-
-def test_describe_roundtrip():
-    spec = MeasureSpec(atoms=[(0.25, 1.5)], densities=[Density(c=2.0, gamma=0.5, delta=1.0)])
-    again = MeasureSpec.from_dict(
-        {"atoms": [{"loc": 0.25, "mass": 1.5}], "densities": [{"c": 2.0, "gamma": 0.5, "delta": 1.0}]}
-    )
-    n = np.arange(30)
-    assert np.allclose(spec.moments(n), again.moments(n))
-    named = MeasureSpec.from_dict({"named": "lebesgue"})
-    assert named.moment(9) == pytest.approx(0.1)

@@ -87,12 +87,12 @@ def test_section_single_entry():
     m = section_matrix(s, "hankel", "dirichlet-section", 4)
     expect = np.zeros((4, 4))
     expect[0, 0] = 2.5
-    assert np.allclose(m.entries, expect)
+    assert np.allclose(m, expect)
 
 
 def test_section_antidiagonal_weights():
     s = SymbolSeq.explicit([0.0, 0.0, 1.0])
-    m = section_matrix(s, "hankel", "dirichlet-section", 3).entries
+    m = section_matrix(s, "hankel", "dirichlet-section", 3)
     assert m[0, 2] == pytest.approx(np.sqrt(1.0 / 3.0))
     assert m[1, 1] == pytest.approx(1.0)
     assert m[2, 0] == pytest.approx(np.sqrt(3.0))
@@ -106,7 +106,7 @@ def test_section_rejects_exact_weights():
 
 def test_cesaro_section_lower_triangular():
     s = SymbolSeq.explicit([1.0, 2.0, 3.0])
-    m = section_matrix(s, "cesaro", "dirichlet-section", 3).entries
+    m = section_matrix(s, "cesaro", "dirichlet-section", 3)
     assert m[0, 1] == 0.0 and m[0, 2] == 0.0 and m[1, 2] == 0.0
     assert m[1, 0] == pytest.approx(2.0 * np.sqrt(2.0))
     assert m[2, 2] == pytest.approx(3.0)
@@ -116,8 +116,8 @@ def test_transpose_duality_exact():
     for i in range(10):
         vals = seeded_uniforms(900, i, 63) + 1j * seeded_uniforms(901, i, 63)
         s = SymbolSeq.explicit(vals)
-        a = section_matrix(s, "hankel", "dirichlet-section", 32).entries
-        b = section_matrix(s, "hankel", "bergman", 32).entries
+        a = section_matrix(s, "hankel", "dirichlet-section", 32)
+        b = section_matrix(s, "hankel", "bergman", 32)
         assert np.array_equal(a.T, b)
 
 
@@ -158,7 +158,7 @@ def test_top_singular_value_matches_numpy_svd():
     mats = []
     for i in range(5):
         vals = seeded_uniforms(31, i, 41) + 1j * seeded_uniforms(32, i, 41)
-        mats.append(section_matrix(SymbolSeq.explicit(vals), "hankel", "dirichlet-section", 21).entries)
+        mats.append(section_matrix(SymbolSeq.explicit(vals), "hankel", "dirichlet-section", 21))
     # dense matrices with no Hankel structure, real and complex
     dense = seeded_uniforms(5, 0, 40 * 40).reshape(40, 40)
     mats.append(dense)

@@ -218,39 +218,3 @@ def test_lacunary_rule_tail_upper_bound_valid(decay, power):
         k += 1
         n_k = max(n_k + 1, int(np.ceil(n_k * 2.0)))
     assert total <= b.upper
-
-
-def test_describe_roundtrip():
-    from dirspace.symbols import from_dict
-
-    for cfg, s in [
-        ({"kind": "explicit", "values": [1.0, 0.5, 0.25]}, SymbolSeq.explicit([1.0, 0.5, 0.25])),
-        ({"kind": "powerlog", "alpha": 1.0, "beta": 1.5, "scale": 2.0}, SymbolSeq.powerlog(1.0, 1.5, 2.0)),
-        (
-            {"kind": "moments", "measure": {"atoms": [{"loc": 0.5, "mass": 1.0}]}},
-            SymbolSeq.from_measure(MeasureSpec.point_mass(0.5)),
-        ),
-        (
-            {"kind": "lacunary", "support": [1, 4, 16], "values": [1.0, 0.5, 0.25]},
-            SymbolSeq.lacunary([1, 4, 16], [1.0, 0.5, 0.25]),
-        ),
-        (
-            {"kind": "lacunary", "start": 1, "q": 2.0, "rule": {"decay": 0.5, "power": 1.0}},
-            SymbolSeq.lacunary_rule(1, 2.0, 0.5, 1.0),
-        ),
-        (
-            {
-                "kind": "randomized",
-                "base": {"kind": "powerlog", "alpha": 1.0, "beta": 1.0},
-                "dist": "uniform-symmetric",
-                "normalized": False,
-                "seed": 3,
-                "stream": 1,
-            },
-            SymbolSeq.randomized(
-                SymbolSeq.powerlog(1.0, 1.0), DistTag("uniform-symmetric", normalized=False), 3, 1
-            ),
-        ),
-    ]:
-        idx = np.arange(40)
-        assert np.array_equal(from_dict(cfg).values(idx), s.values(idx))
