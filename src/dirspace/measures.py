@@ -20,6 +20,7 @@ exp row per distinct block q and one per offset r in the batch's range.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,6 +129,7 @@ def classify_measure(spec: MeasureSpec, kind: str, cfg=None):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _graded_rule(d: Density):
     """log(t) nodes and weights (density included) for batch moments.
 
@@ -158,9 +160,6 @@ def _graded_rule(d: Density):
     return np.concatenate(log_ts), np.concatenate(ws)
 
 
-_RULE_CACHE: dict = {}
-
-
 def _density_moments_graded(d: Density, n: np.ndarray) -> np.ndarray:
     """Graded-rule moments of one density at the indices n, as one GEMM.
 
@@ -169,10 +168,7 @@ def _density_moments_graded(d: Density, n: np.ndarray) -> np.ndarray:
     per r between the smallest and largest offset) holds every moment of the
     batch, and the indices gather their entries from it by (q, r).
     """
-    key = (d.c, d.gamma, d.delta, d.kappa)
-    if key not in _RULE_CACHE:
-        _RULE_CACHE[key] = _graded_rule(d)
-    log_t, w = _RULE_CACHE[key]
+    log_t, w = _graded_rule(d)
     q, r = np.divmod(n, _BLOCK)
     blocks, row = np.unique(q, return_inverse=True)
     r_lo, r_hi = (int(r.min()), int(r.max())) if n.size else (0, -1)

@@ -59,8 +59,8 @@ def sample_symbol(s: SymbolSeq, d: DistTag, rng: RngSpec, n: int) -> SymbolSeq:
     """Explicit symbol omega_k = X_k * conj(lambda_k), k = 0..n: the first
     n + 1 values of SymbolSeq.randomized."""
     out = SymbolSeq.explicit(SymbolSeq.randomized(s, d, rng.seed, rng.stream).values(np.arange(n + 1)))
-    out.monotone_flag = MONOTONE_GENERAL  # randomized symbols never claim monotonicity
-    return out
+    # randomized symbols never claim monotonicity
+    return SymbolSeq(out.kind, out.params, MONOTONE_GENERAL)
 
 
 def fourth_moment_exact_rademacher(a) -> float:

@@ -1,6 +1,7 @@
 """Symbol sequences for Hankel- and Cesaro-type operators.
 
-A symbol is a sequence lambda_0, lambda_1, ... given as one of
+A symbol is an immutable value: a sequence lambda_0, lambda_1, ... given as
+one of
 
 * ``explicit``     -- a finite coefficient list (zero beyond the list),
 * ``powerlog``     -- lambda_n = scale * (n+1)^(-alpha) * log(n+2)^(-beta),
@@ -15,10 +16,10 @@ Besides point values every symbol knows how to bracket its weighted tails
 sum_{n > N} w(n) |lambda_n|^2 (w(n) = n or n+1): exactly zero for finite
 symbols, by integral comparison for powerlog, by closed-form geometric sums
 for atomic moment symbols and ruled lacunary symbols, and "not certified"
-otherwise.  Divergence is flagged analytically where the closed form decides
-it.  The same exponents give each such symbol its closed-form class
+otherwise.  The same exponents give each such symbol its closed-form class
 (widom_class): the order of S(m) = sum_{n >= m} n |lambda_n|^2 against
-1/log m, which is the classification layer's verdict.
+1/log m, which is the classification layer's verdict, and one rule on them
+(_diverges) flags the tails that are infinite.
 """
 
 from __future__ import annotations
@@ -63,8 +64,10 @@ def _weight_values(weight: str, n: np.ndarray) -> np.ndarray:
 class SymbolSeq:
     """A symbol sequence; construct via the ``explicit``/``powerlog``/...
 
-    classmethods.  Instances are immutable by convention (internal caches
-    only grow) and safe to share across threads.
+    classmethods.  Instances are values: no method writes to ``kind``,
+    ``params`` or ``monotone_flag`` after construction, and a ruled lacunary
+    symbol regenerates its support on each call instead of storing it, so
+    instances are safe to share across threads.
     """
 
     def __init__(self, kind, params, monotone_flag):
@@ -87,7 +90,7 @@ class SymbolSeq:
             flag = MONOTONE_DECREASING
         else:
             flag = MONOTONE_GENERAL
-        return cls("explicit", {"values": arr}, flag)
+        return cls("explicit", {"support": np.arange(arr.shape[0], dtype=np.int64), "values": arr}, flag)
 
     @classmethod
     def powerlog(cls, alpha: float, beta: float, scale: float = 1.0) -> "SymbolSeq":
@@ -103,7 +106,7 @@ class SymbolSeq:
     @classmethod
     def from_measure(cls, measure) -> "SymbolSeq":
         """Moment sequence mu_n of a finite positive measure on [0, 1)."""
-        return cls("moments", {"measure": measure, "cache": None}, MONOTONE_DECREASING)
+        return cls("moments", {"measure": measure}, MONOTONE_DECREASING)
 
     @classmethod
     def lacunary(cls, support, values, ratio: float | None = None) -> "SymbolSeq":
@@ -122,8 +125,7 @@ class SymbolSeq:
             vals = vals.astype(np.complex128)
         else:
             vals = vals.real.astype(np.float64)
-        params = {"support": support, "values": vals, "q": q, "rule": None}
-        return cls("lacunary", params, MONOTONE_GENERAL)
+        return cls("lacunary", {"support": support, "values": vals, "q": q}, MONOTONE_GENERAL)
 
     @classmethod
     def lacunary_rule(
@@ -145,13 +147,7 @@ class SymbolSeq:
         if scale <= 0.0:
             raise ValueError("rule scale must be positive")
         rule = {"decay": float(decay), "power": float(power), "scale": float(scale)}
-        params = {
-            "support": np.array([start], dtype=np.int64),
-            "values": np.array([_rule_value(rule, start, 0)], dtype=np.float64),
-            "q": float(ratio),
-            "rule": rule,
-        }
-        return cls("lacunary", params, MONOTONE_GENERAL)
+        return cls("lacunary", {"start": int(start), "q": float(ratio), "rule": rule}, MONOTONE_GENERAL)
 
     @classmethod
     def randomized(cls, base: "SymbolSeq", dist, seed: int, stream: int = 0) -> "SymbolSeq":
@@ -167,29 +163,20 @@ class SymbolSeq:
         idx = np.atleast_1d(np.asarray(indices, dtype=np.int64))
         if np.any(idx < 0):
             raise ValueError("symbol indices must be >= 0")
-        if self.kind == "explicit":
-            vals = self.params["values"]
+        if self.kind in ("explicit", "lacunary"):
+            support, vals = self._points(int(idx.max()) if idx.size else 0)
             out = np.zeros(idx.shape, dtype=vals.dtype)
-            inside = idx < vals.shape[0]
-            out[inside] = vals[idx[inside]]
+            if support.size:
+                pos = np.minimum(np.searchsorted(support, idx), support.shape[0] - 1)
+                hit = support[pos] == idx
+                out[hit] = vals[pos[hit]]
             return out
         if self.kind == "powerlog":
             p = self.params
             n = idx.astype(np.float64)
             return p["scale"] * (n + 1.0) ** (-p["alpha"]) * np.log(n + 2.0) ** (-p["beta"])
         if self.kind == "moments":
-            return self._moment_values(idx)
-        if self.kind == "lacunary":
-            self._extend_support(int(idx.max()) if idx.size else 0)
-            support = self.params["support"]
-            vals = self.params["values"]
-            if support.size == 0:
-                return np.zeros(idx.shape, dtype=np.float64)
-            pos = np.searchsorted(support, idx)
-            out = np.zeros(idx.shape, dtype=vals.dtype)
-            hit = (pos < support.shape[0]) & (support[np.minimum(pos, support.shape[0] - 1)] == idx)
-            out[hit] = vals[pos[hit]]
-            return out
+            return self.params["measure"].moments(idx)
         if self.kind == "randomized":
             p = self.params
             base_vals = np.conj(p["base"].values(idx))
@@ -201,11 +188,8 @@ class SymbolSeq:
         """Increasing indices in [lo, hi] that hold every nonzero value there:
         the stored support of explicit and lacunary symbols, all of [lo, hi]
         for the other kinds."""
-        if self.kind == "explicit":
-            return np.arange(lo, min(hi, self.params["values"].shape[0] - 1) + 1, dtype=np.int64)
-        if self.kind == "lacunary":
-            self._extend_support(hi)
-            support = self.params["support"]
+        if self.kind in ("explicit", "lacunary"):
+            support, _ = self._points(hi)
             return support[np.searchsorted(support, lo) : np.searchsorted(support, hi, side="right")]
         return np.arange(lo, hi + 1, dtype=np.int64)
 
@@ -217,9 +201,7 @@ class SymbolSeq:
     @property
     def finite_support_bound(self) -> int | None:
         """Largest index that can be nonzero, or None for infinite symbols."""
-        if self.kind == "explicit":
-            return self.params["values"].shape[0] - 1
-        if self.kind == "lacunary" and self.params["rule"] is None:
+        if "support" in self.params:
             s = self.params["support"]
             return int(s[-1]) if s.size else 0
         if self.kind == "randomized":
@@ -302,45 +284,22 @@ class SymbolSeq:
 
     # -- internals ----------------------------------------------------------
 
-    def _moment_values(self, idx: np.ndarray) -> np.ndarray:
-        cache = self.params["cache"]
-        top = int(idx.max()) if idx.size else 0
-        if cache is None or cache.shape[0] <= top:
-            grow = max(top + 1, 2 * (cache.shape[0] if cache is not None else 64))
-            cache = self.params["measure"].moments(np.arange(grow))
-            self.params["cache"] = cache
-        return cache[idx]
-
-    def _extend_support(self, through: int) -> None:
-        rule = self.params["rule"]
-        if rule is None:
-            return
-        support = self.params["support"]
-        vals = self.params["values"]
-        q = self.params["q"]
-        new_s = []
-        new_v = []
-        n_last = int(support[-1])
-        k = support.shape[0] - 1
-        while n_last <= through:
-            n_last = max(n_last + 1, int(np.ceil(n_last * q)))
-            k += 1
-            new_s.append(n_last)
-            new_v.append(_rule_value(rule, n_last, k))
-        if new_s:
-            self.params["support"] = np.concatenate([support, np.array(new_s, dtype=np.int64)])
-            self.params["values"] = np.concatenate([vals, np.array(new_v)])
+    def _points(self, through: int):
+        """(support, values) of an explicit or lacunary symbol: the stored
+        pair of a finite one, a rule's points up to ``through`` otherwise."""
+        if "support" in self.params:
+            return self.params["support"], self.params["values"]
+        support, vals, _ = _rule_points(self.params, through)
+        return support, vals
 
     def _lacunary_rule_tail(self, nmax: int, weight: str) -> WidomTail:
         rule = self.params["rule"]
         rho, p, scale = rule["decay"], rule["power"], rule["scale"]
         q = self.params["q"]
-        if rho < 0.5 or (rho == 0.5 and p <= 0.5):
+        if _diverges(rho + 0.5, p):
             return WidomTail(nmax + 1, 0.0, np.inf, divergent=True)
-        self._extend_support(nmax)
-        support = self.params["support"]
-        k0 = int(np.searchsorted(support, nmax, side="right"))  # support[-1] > nmax
-        m0 = float(support[k0])
+        support, _, first_past = _rule_points(self.params, nmax)
+        k0, m0 = support.shape[0], float(first_past)  # m0 = n_k0 > nmax
         if rho > 0.5:
             # w(n_k) <= 2 n_k, n_k >= m0 q^(k-k0), (k+1)^(-2p) <= (k0+1)^(-2p)
             r = q ** (1.0 - 2.0 * rho)
@@ -360,8 +319,17 @@ def _lacunary_ratio(support: np.ndarray) -> float:
     return float(np.min(support[1:] / support[:-1]))
 
 
-def _rule_value(rule: dict, n_k: int, k: int) -> float:
-    return rule["scale"] * float(n_k) ** (-rule["decay"]) * (k + 1.0) ** (-rule["power"])
+def _rule_points(params: dict, through: int):
+    """Support points n_k <= through of a lacunary rule, their values v_k, and
+    the first support point past through."""
+    rule, q = params["rule"], params["q"]
+    support, vals = [], []
+    n_k = params["start"]
+    while n_k <= through:
+        vals.append(rule["scale"] * float(n_k) ** (-rule["decay"]) * (len(support) + 1.0) ** (-rule["power"]))
+        support.append(n_k)
+        n_k = max(n_k + 1, int(np.ceil(n_k * q)))
+    return np.array(support, dtype=np.int64), np.array(vals, dtype=np.float64), n_k
 
 
 def _log_power_class(alpha: float, beta: float) -> str:
@@ -376,13 +344,19 @@ def _log_power_class(alpha: float, beta: float) -> str:
     return "bounded"
 
 
+def _diverges(alpha: float, beta: float) -> bool:
+    """Whether S(0) = sum n lambda_n^2 is infinite for lambda_n =
+    (n+1)^(-alpha) log(n+2)^(-beta): the exponents _log_power_class reads."""
+    return alpha < 1.0 or (alpha == 1.0 and beta <= 0.5)
+
+
 def _powerlog_tail(params: dict, nmax: int, weight: str) -> WidomTail:
     """Integral-comparison bracket for sum_{n>N} w(n) lambda_n^2,
     lambda_n = scale (n+1)^(-alpha) log(n+2)^(-beta)."""
     a, b, scale = params["alpha"], params["beta"], params["scale"]
     s2 = scale * scale
     n = float(nmax)
-    if a < 1.0 or (a == 1.0 and b <= 0.5):
+    if _diverges(a, b):
         return WidomTail(nmax + 1, 0.0, np.inf, divergent=True)
     if b < 0.0:
         # growing log factor: certification not implemented

@@ -51,3 +51,41 @@ def test_no_function_level_imports(path):
         if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
             lines = [n.lineno for n in ast.walk(func) if isinstance(n, (ast.Import, ast.ImportFrom))]
             assert not lines, f"{path.name}: import inside {func.name} at line(s) {lines}"
+
+
+_SYMBOL_STATE = {"params", "kind", "monotone_flag"}
+
+
+def _writes_symbol_state(target):
+    # obj.params = ..., obj.params[...] = ..., obj.params[...][...] = ..., and tuple targets
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return any(_writes_symbol_state(t) for t in target.elts)
+    if isinstance(target, ast.Starred):
+        return _writes_symbol_state(target.value)
+    while isinstance(target, ast.Subscript):
+        target = target.value
+    return isinstance(target, ast.Attribute) and target.attr in _SYMBOL_STATE
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_symbol_state_is_written_only_by_the_constructor(path):
+    # SymbolSeq is a value: kind, params and monotone_flag are set in __init__
+    # and never written again, by the class itself or by any other module
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    allowed = set()
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and cls.name == "SymbolSeq":
+            init = next(f for f in cls.body if isinstance(f, ast.FunctionDef) and f.name == "__init__")
+            allowed = {id(n) for n in ast.walk(init)}
+    bad = []
+    for node in ast.walk(tree):
+        if id(node) in allowed:
+            continue
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        bad += [node.lineno for t in targets if _writes_symbol_state(t)]
+    assert not bad, f"{path.name}: symbol state written at line(s) {bad}"

@@ -152,7 +152,7 @@ def test_blocked_batch_matches_definition(gamma, delta, kappa, picks, edges, see
     n = np.array(picks + edges + [int(rng.integers(0, 2**20))] * 2, dtype=np.int64)
     rng.shuffle(n)
     got = _density_moments_graded(d, n)
-    log_t, w = measures._RULE_CACHE[(d.c, d.gamma, d.delta, d.kappa)]
+    log_t, w = measures._graded_rule(d)
     with np.errstate(under="ignore"):
         want = np.exp(n[:, None].astype(np.float64) * log_t[None, :]) @ w
     assert got.shape == n.shape

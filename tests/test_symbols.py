@@ -218,3 +218,26 @@ def test_lacunary_rule_tail_upper_bound_valid(decay, power):
         k += 1
         n_k = max(n_k + 1, int(np.ceil(n_k * 2.0)))
     assert total <= b.upper
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: SymbolSeq.explicit([1.0, -0.5j, 0.25]),
+        lambda: SymbolSeq.powerlog(1.0, 1.5),
+        lambda: SymbolSeq.from_measure(MeasureSpec(atoms=[(0.5, 1.0)], densities=[{"c": 1.0, "gamma": 0.5}])),
+        lambda: SymbolSeq.lacunary([1, 3, 9], [1.0, 0.5, 0.25]),
+        lambda: SymbolSeq.lacunary_rule(1, 2.0, 0.75, 1.0),
+        lambda: SymbolSeq.randomized(SymbolSeq.lacunary_rule(2, 3.0, 1.0), DistTag("gaussian"), seed=5),
+    ],
+    ids=["explicit", "powerlog", "moments", "lacunary", "lacunary-rule", "randomized"],
+)
+def test_evaluation_leaves_params_untouched(make):
+    s = make()
+    before = dict(s.params)
+    s.values(np.arange(0, 4096, 7))
+    s.support_between(3, 5000)
+    s.tail_brackets([0, 10, 20000], 1024)
+    s.tail_brackets([5], 2**18, "membership")
+    assert s.params.keys() == before.keys()
+    assert all(s.params[key] is value for key, value in before.items())
