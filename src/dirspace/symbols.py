@@ -31,8 +31,10 @@ import numpy as np
 MONOTONE_DECREASING = "decreasing-positive"
 MONOTONE_GENERAL = "general"
 
+_EPS = np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).tiny
 #: relative padding applied to bracket ends to absorb float summation error
-_SUM_PAD = 64.0 * np.finfo(np.float64).eps
+_SUM_PAD = 64.0 * _EPS
 
 
 @dataclass(frozen=True)
@@ -110,7 +112,7 @@ class SymbolSeq:
 
     @classmethod
     def lacunary(cls, support, values, ratio: float | None = None) -> "SymbolSeq":
-        support = np.asarray(support, dtype=np.int64)
+        support = np.array(support, dtype=np.int64)  # copied: later writes by the caller do not reach it
         vals = np.atleast_1d(np.asarray(values))
         if support.ndim != 1 or support.shape != vals.shape:
             raise ValueError("support and values must be 1-D of equal length")
@@ -366,7 +368,14 @@ def _powerlog_tail(params: dict, nmax: int, weight: str) -> WidomTail:
         c = 2.0 * b - 1.0
         upper = s2 * (n + 3.0) / (n + 2.0) * np.log(n + 2.0) ** (-c) / c
         if weight == "widom":
-            lower = s2 * (1.0 - (n + 2.0) ** (-2.0)) * np.log(n + 3.0) ** (-c) / c
+            # two lower bounds: the integral of the terms from N+1, which rises
+            # with N for small N and c, and, as n/(n+1)^2 >= 1/(n+3) for n >= 1,
+            # the integral of 1/(x log(x)^(2b)) from N+4.  The second at N is
+            # at least the first at N+1, so their max never rises with N
+            lower = max(
+                s2 * (1.0 - (n + 2.0) ** (-2.0)) * np.log(n + 3.0) ** (-c) / c,
+                s2 * np.log(n + 4.0) ** (-c) / c,
+            )
         else:
             lower = s2 * np.log(n + 3.0) ** (-c) / c
         return WidomTail(nmax + 1, float(lower), float(upper))
@@ -384,20 +393,33 @@ def _moments_tail(measure, nmax: int, weight: str) -> WidomTail:
     """
     if measure.has_density:
         return WidomTail(nmax + 1, 0.0, np.inf)
-    total = 0.0
+    lower = upper = 0.0
     for loc_j, mass_j in measure.atoms:
         for loc_i, mass_i in measure.atoms:
-            x = loc_j * loc_i
-            total += mass_j * mass_i * _geom_tail(x, nmax, weight)
-    pad = _SUM_PAD * total
-    return WidomTail(nmax + 1, max(total - pad, 0.0), total + pad)
+            lo, up = _geom_tail(loc_j * loc_i, nmax, weight)
+            lower += mass_j * mass_i * lo
+            upper += mass_j * mass_i * up
+    # a running sum of k^2 positive terms errs by less than k^2 eps relative
+    pad = len(measure.atoms) ** 2 * _EPS
+    return WidomTail(nmax + 1, lower * (1.0 - pad), upper * (1.0 + pad))
 
 
-def _geom_tail(x: float, nmax: int, weight: str) -> float:
-    """sum_{n>N} n x^n (widom) or sum_{n>N} (n+1) x^n (membership), 0<=x<1."""
+def _geom_tail(x: float, nmax: int, weight: str) -> tuple[float, float]:
+    """Bracket of sum_{n>N} n x^n (widom) or sum_{n>N} (n+1) x^n (membership)
+    for a rounded product x of two atom locations, 0 <= x < 1.
+
+    The closed form is x^(N+1) (a - (a-1) x) / (1-x)^2 with a = N+1 (widom)
+    or N+2.  The rounding of x is scaled by N + 1 in x^(N+1) and by about
+    1/(1-x) in the other factors, so the relative pad grows with both.  The
+    power is widened by the smallest normal number, which keeps the upper
+    end positive when x^(N+1) underflows and covers its lost digits when it
+    is subnormal; well above the subnormal range the widening rounds away.
+    """
     if x == 0.0:
-        return 0.0
+        return 0.0, 0.0
     one = 1.0 - x
-    if weight == "widom":
-        return x ** (nmax + 1) * ((nmax + 1) - nmax * x) / (one * one)
-    return x ** (nmax + 1) * ((nmax + 2) - (nmax + 1) * x) / (one * one)
+    a = nmax + 1 if weight == "widom" else nmax + 2
+    factor = (a - (a - 1) * x) / (one * one)
+    pad = _SUM_PAD + 8.0 * _EPS * (nmax + 2.0 + 1.0 / one)
+    power = x ** (nmax + 1)
+    return max(power - _TINY, 0.0) * factor * max(1.0 - pad, 0.0), (power + _TINY) * factor * (1.0 + pad)

@@ -60,8 +60,6 @@ def _writes_symbol_state(target):
     # obj.params = ..., obj.params[...] = ..., obj.params[...][...] = ..., and tuple targets
     if isinstance(target, (ast.Tuple, ast.List)):
         return any(_writes_symbol_state(t) for t in target.elts)
-    if isinstance(target, ast.Starred):
-        return _writes_symbol_state(target.value)
     while isinstance(target, ast.Subscript):
         target = target.value
     return isinstance(target, ast.Attribute) and target.attr in _SYMBOL_STATE

@@ -95,8 +95,8 @@ def test_geometric_domination():
 
 
 def test_beta_moment_vs_quadrature_paths():
-    # gamma in (-1, 0): the closed Beta form that moments() uses for delta = 0
-    # against the graded quadrature in the substitution variable, run directly
+    # gamma in (-1, 0): moments() for delta = 0 against the Beta function, and
+    # the graded quadrature in the substitution variable, run directly
     from scipy.special import betaln
 
     d = Density(c=1.3, gamma=-0.5)
@@ -198,3 +198,22 @@ def test_classify_measure_verdicts():
     assert classify_measure(MeasureSpec(), "hankel").verdict == "compact"
     rep = classify_measure(MeasureSpec.point_mass(0.5), "cesaro")
     assert rep.applicability == "theorem-exact"
+
+
+def test_beta_moments_against_mpmath():
+    # delta = 0 moments c B(n+kappa+1, gamma+1) against 40-digit mpmath up to
+    # n = 2^20; exp(betaln(...)) misses this tolerance by two orders
+    import mpmath
+
+    n = np.array([0, 1, 7, 100, 4096, 65537, 2**18, 2**20])
+    worst = 0.0
+    with mpmath.workdps(40):
+        for gamma in np.linspace(-0.9, 2.5, 18):
+            for kappa in (0.0, 1.0, 2.5):
+                got = MeasureSpec(densities=[Density(c=1.0, gamma=gamma, kappa=kappa)]).moments(n)
+                for k, value in zip(n, got):
+                    want = mpmath.beta(int(k) + mpmath.mpf(kappa) + 1, mpmath.mpf(gamma) + 1)
+                    worst = max(worst, abs(float((mpmath.mpf(value) - want) / want)))
+    assert worst <= 2e-11
+    lebesgue = MeasureSpec.lebesgue().moments(np.arange(2**18 + 1))
+    np.testing.assert_allclose(lebesgue, 1.0 / np.arange(1.0, 2**18 + 2.0), rtol=2e-16, atol=0.0)

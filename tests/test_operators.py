@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_poly, seeded_uniforms
 from dirspace.coeffspace import TaylorPoly, normalized_kernel_coeffs, space_norm
@@ -204,6 +206,47 @@ def test_tail_section_norm_monotone_in_m():
     tails = [tail_section_norm(s, "hankel", m, 64) for m in (0, 2, 4, 8)]
     for a, b in zip(tails, tails[1:]):
         assert b <= a + 1e-12
+
+
+def _drawn_symbols():
+    coeff = st.floats(-1.0, 1.0, allow_subnormal=False) | st.complex_numbers(max_magnitude=1.0)
+    explicit = st.builds(SymbolSeq.explicit, st.lists(coeff, min_size=1, max_size=100))
+    powerlog = st.builds(SymbolSeq.powerlog, st.floats(0.5, 2.0), st.floats(0.0, 2.0))
+    lacunary = st.builds(
+        SymbolSeq.lacunary_rule, st.integers(1, 8), st.floats(1.5, 4.0), st.floats(0.0, 2.0), st.floats(0.0, 2.0)
+    )
+    return st.one_of(explicit, powerlog, lacunary)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(
+    sym=_drawn_symbols(),
+    kind=st.sampled_from(["hankel", "cesaro"]),
+    n=st.integers(2, 40),
+    extra=st.integers(1, 8),
+    m_grid=st.lists(st.integers(0, 39), min_size=1, max_size=4, unique=True).map(sorted),
+)
+def test_tail_section_norms_monotone(sym, kind, n, extra, m_grid):
+    # a principal submatrix has no larger norm: tail-section norms do not
+    # increase in m and do not decrease in n
+    m_grid = [m for m in m_grid if m < n] or [0]
+
+    def norm(m, dim):
+        return tail_section_norm(sym, kind, m, dim, tol=1e-13, max_iter=20000)
+
+    small = [norm(m, n) for m in m_grid]
+    large = [norm(m, n + extra) for m in m_grid]
+    for a, b in zip(small, small[1:]):
+        assert b <= a * (1.0 + 1e-12)
+    for a, b in zip(small, large):
+        assert a <= b * (1.0 + 1e-12)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(sym=_drawn_symbols(), n=st.integers(1, 48))
+def test_transpose_duality_for_drawn_symbols(sym, n):
+    a = section_matrix(sym, "hankel", "dirichlet-section", n)
+    assert np.array_equal(section_matrix(sym, "hankel", "bergman", n), a.T)
 
 
 def test_tail_section_norm_validation():

@@ -73,6 +73,11 @@ def test_lacunary_explicit():
     assert s.value(3) == 0.0
     assert s.finite_support_bound == 8
     assert s.params["q"] == 2.0
+    # the symbol keeps its own copy of the support
+    support = np.array([1, 3, 9], dtype=np.int64)
+    copy = SymbolSeq.lacunary(support, [1.0, 1.0, 1.0])
+    support[2] = 10
+    assert copy.value(9) == 1.0 and copy.finite_support_bound == 9
     # non-increasing support rejected
     with pytest.raises(ValueError):
         SymbolSeq.lacunary([4, 2], [1, 1])
@@ -185,6 +190,49 @@ def test_moments_tail_exact_for_atoms():
     n = np.arange(11, 200)
     deep = float(np.sum(n * (0.5**n) ** 2))
     assert b10.lower <= deep <= b10.upper
+
+
+@pytest.mark.parametrize(
+    "atoms",
+    [[(0.1, 1.0)], [(0.5, 1.0)], [(0.9, 1.0)], [(0.999, 1.0)], [(0.5, 0.25), (0.9, 2.0), (0.999, 0.5)]],
+    ids=["0.1", "0.5", "0.9", "0.999", "mixed"],
+)
+@pytest.mark.parametrize("weight", ["widom", "membership"])
+def test_atom_tail_contains_its_value(atoms, weight):
+    # sum_{n>N} w(n) mu_n^2 in 50-digit arithmetic from the same float atoms:
+    # the bracket must hold it where x^(N+1) scales the rounding of x = loc^2
+    # by N + 1 and where it underflows
+    import mpmath
+
+    s = SymbolSeq.from_measure(MeasureSpec(atoms=atoms))
+    with mpmath.workdps(50):
+        for nmax in (0, 10, 1023, 16383, 2**18):
+            a = nmax + 1 if weight == "widom" else nmax + 2
+            value = mpmath.mpf(0)
+            for loc_j, mass_j in atoms:
+                for loc_i, mass_i in atoms:
+                    x = mpmath.mpf(loc_j) * mpmath.mpf(loc_i)
+                    value += mpmath.mpf(mass_j) * mass_i * x ** (nmax + 1) * (a - (a - 1) * x) / (1 - x) ** 2
+            b = s.tail_remainder(nmax, weight)
+            assert mpmath.mpf(b.lower) <= value <= mpmath.mpf(b.upper), (nmax, b, value)
+
+
+@pytest.mark.parametrize("beta", [0.51, 0.6, 0.75, 1.0, 1.5])
+@pytest.mark.parametrize("weight", ["widom", "membership"])
+def test_alpha_one_lower_ends_do_not_rise(beta, weight):
+    # cutoffs past nmax = 0 read tail_remainder(m - 1) directly; its lower end
+    # must not rise with m, and must stay below a brute-force partial sum plus
+    # the upper end of the remainder beyond it
+    s = SymbolSeq.powerlog(1.0, beta)
+    tails = s.tail_brackets(range(5), 0, weight)
+    lowers = [t.lower for t in tails]
+    assert all(b <= a for a, b in zip(lowers, lowers[1:])), lowers
+    top = 2**16
+    n = np.arange(top + 1)
+    terms = (n if weight == "widom" else n + 1) * s.values(n) ** 2
+    rest = s.tail_remainder(top, weight).upper
+    for t in tails:
+        assert t.lower <= np.sum(terms[t.m :]) + rest
 
 
 def test_moments_tail_uncertified_with_density():
