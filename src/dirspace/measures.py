@@ -110,9 +110,7 @@ class MeasureSpec:
                 out += mass * np.exp(n * np.log(loc))
         for d in self.densities:
             if d.delta == 0.0:
-                # B(n+kappa+1, gamma+1) as Gamma(gamma+1) / (n+kappa+1)_(gamma+1): to
-                # about 1e-11 relative, where exp(betaln(...)) errs by up to 3e-9
-                out += d.c * special.gamma(d.gamma + 1.0) / special.poch(n + d.kappa + 1.0, d.gamma + 1.0)
+                out += d.c * _beta_moments(n, d.kappa, d.gamma)
             else:
                 out += _density_moments_graded(d, n)
         return out
@@ -130,6 +128,19 @@ def classify_measure(spec: MeasureSpec, kind: str, cfg=None):
 # ---------------------------------------------------------------------------
 # quadrature internals
 # ---------------------------------------------------------------------------
+
+
+def _beta_moments(n: np.ndarray, kappa: float, gamma: float) -> np.ndarray:
+    """B(n+kappa+1, gamma+1) as Gamma(gamma+1) / (n+kappa+1)_(gamma+1), and as
+    exp(betaln(...)) where that quotient is not a positive float: Gamma
+    overflows for gamma > 170, the Pochhammer symbol once (gamma+1) log n
+    passes about 709."""
+    with np.errstate(invalid="ignore"):
+        b = special.gamma(gamma + 1.0) / special.poch(n + kappa + 1.0, gamma + 1.0)
+    lost = ~(np.isfinite(b) & (b > 0.0))
+    if np.any(lost):
+        b[lost] = np.exp(special.betaln(n[lost] + kappa + 1.0, gamma + 1.0))
+    return b
 
 
 @functools.cache

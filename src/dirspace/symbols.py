@@ -24,6 +24,7 @@ otherwise.  The same exponents give each such symbol its closed-form class
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -291,8 +292,13 @@ class SymbolSeq:
         pair of a finite one, a rule's points up to ``through`` otherwise."""
         if "support" in self.params:
             return self.params["support"], self.params["values"]
-        support, vals, _ = _rule_points(self.params, through)
-        return support, vals
+        rule = self.params["rule"]
+        support, _ = _rule_support(self.params, through)
+        vals = [
+            rule["scale"] * float(n_k) ** (-rule["decay"]) * (k + 1.0) ** (-rule["power"])
+            for k, n_k in enumerate(support.tolist())
+        ]
+        return support, np.array(vals, dtype=np.float64)
 
     def _lacunary_rule_tail(self, nmax: int, weight: str) -> WidomTail:
         rule = self.params["rule"]
@@ -300,7 +306,7 @@ class SymbolSeq:
         q = self.params["q"]
         if _diverges(rho + 0.5, p):
             return WidomTail(nmax + 1, 0.0, np.inf, divergent=True)
-        support, _, first_past = _rule_points(self.params, nmax)
+        support, first_past = _rule_support(self.params, nmax)
         k0, m0 = support.shape[0], float(first_past)  # m0 = n_k0 > nmax
         if rho > 0.5:
             # w(n_k) <= 2 n_k, n_k >= m0 q^(k-k0), (k+1)^(-2p) <= (k0+1)^(-2p)
@@ -321,17 +327,19 @@ def _lacunary_ratio(support: np.ndarray) -> float:
     return float(np.min(support[1:] / support[:-1]))
 
 
-def _rule_points(params: dict, through: int):
-    """Support points n_k <= through of a lacunary rule, their values v_k, and
-    the first support point past through."""
-    rule, q = params["rule"], params["q"]
-    support, vals = [], []
-    n_k = params["start"]
+def _rule_support(params: dict, through: int):
+    """Support points n_k <= through of a lacunary rule and the first support
+    point past through.  While n_k (q - 1) <= 1/2 the next point is n_k + 1,
+    so that run is one arange; past it, about log(2 (q - 1) through) / log q
+    Python steps remain."""
+    start, q = params["start"], params["q"]
+    n_k = max(start, min(through + 1, int(0.5 / (q - 1.0)) + 1))
+    run = np.arange(start, n_k, dtype=np.int64)
+    rest = []
     while n_k <= through:
-        vals.append(rule["scale"] * float(n_k) ** (-rule["decay"]) * (len(support) + 1.0) ** (-rule["power"]))
-        support.append(n_k)
-        n_k = max(n_k + 1, int(np.ceil(n_k * q)))
-    return np.array(support, dtype=np.int64), np.array(vals, dtype=np.float64), n_k
+        rest.append(n_k)
+        n_k = max(n_k + 1, math.ceil(n_k * q))
+    return np.concatenate([run, np.array(rest, dtype=np.int64)]), n_k
 
 
 def _log_power_class(alpha: float, beta: float) -> str:

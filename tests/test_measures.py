@@ -202,18 +202,22 @@ def test_classify_measure_verdicts():
 
 def test_beta_moments_against_mpmath():
     # delta = 0 moments c B(n+kappa+1, gamma+1) against 40-digit mpmath up to
-    # n = 2^20; exp(betaln(...)) misses this tolerance by two orders
+    # n = 2^20 (exp(betaln(...)) alone misses this tolerance by two orders
+    # there), and at large gamma, where Gamma or the Pochhammer symbol
+    # overflows: gamma = 200 at n = 0, gamma = 169 at n = 10 and gamma = 100
+    # at n = 2000
     import mpmath
 
     n = np.array([0, 1, 7, 100, 4096, 65537, 2**18, 2**20])
-    worst = 0.0
+    cases = [(gamma, kappa, n) for gamma in np.linspace(-0.9, 2.5, 18) for kappa in (0.0, 1.0, 2.5)]
+    cases += [(200.0, 0.0, np.array([0])), (169.0, 0.0, np.array([10])), (100.0, 0.0, np.array([2000]))]
+    errs = []
     with mpmath.workdps(40):
-        for gamma in np.linspace(-0.9, 2.5, 18):
-            for kappa in (0.0, 1.0, 2.5):
-                got = MeasureSpec(densities=[Density(c=1.0, gamma=gamma, kappa=kappa)]).moments(n)
-                for k, value in zip(n, got):
-                    want = mpmath.beta(int(k) + mpmath.mpf(kappa) + 1, mpmath.mpf(gamma) + 1)
-                    worst = max(worst, abs(float((mpmath.mpf(value) - want) / want)))
-    assert worst <= 2e-11
+        for gamma, kappa, idx in cases:
+            got = MeasureSpec(densities=[Density(c=1.0, gamma=gamma, kappa=kappa)]).moments(idx)
+            for k, value in zip(idx, got):
+                want = mpmath.beta(int(k) + mpmath.mpf(kappa) + 1, mpmath.mpf(gamma) + 1)
+                errs.append(abs(float((mpmath.mpf(value) - want) / want)))
+    assert np.all(np.array(errs) <= 2e-11)  # a nan fails too
     lebesgue = MeasureSpec.lebesgue().moments(np.arange(2**18 + 1))
     np.testing.assert_allclose(lebesgue, 1.0 / np.arange(1.0, 2**18 + 2.0), rtol=2e-16, atol=0.0)
