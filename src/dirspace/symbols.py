@@ -330,15 +330,16 @@ def _lacunary_ratio(support: np.ndarray) -> float:
 def _rule_support(params: dict, through: int):
     """Support points n_k <= through of a lacunary rule and the first support
     point past through.  While n_k (q - 1) <= 1/2 the next point is n_k + 1,
-    so that run is one arange; past it, about log(2 (q - 1) through) / log q
-    Python steps remain."""
+    so that run is one arange; past it n_k q > n_k + 1/2, the next point is
+    ceil(n_k q), and about log(2 (q - 1) through) / log q Python steps
+    remain."""
     start, q = params["start"], params["q"]
     n_k = max(start, min(through + 1, int(0.5 / (q - 1.0)) + 1))
     run = np.arange(start, n_k, dtype=np.int64)
     rest = []
     while n_k <= through:
         rest.append(n_k)
-        n_k = max(n_k + 1, math.ceil(n_k * q))
+        n_k = math.ceil(n_k * q)
     return np.concatenate([run, np.array(rest, dtype=np.int64)]), n_k
 
 

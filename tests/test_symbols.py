@@ -100,6 +100,22 @@ def test_lacunary_rule_generates_powers_of_two():
     assert s.finite_support_bound is None
 
 
+
+@pytest.mark.parametrize("start, q", [(1, 1.0001), (3, 1.01), (1, 1.3), (2, 1.5), (700, 1.001), (5, 2.7)])
+def test_lacunary_rule_support_follows_the_recursion(start, q):
+    # ratios near 1 step by one for a long run before the support thins out
+    support, n_k = [], start
+    while n_k <= 20000:
+        support.append(n_k)
+        n_k = max(n_k + 1, int(np.ceil(n_k * q)))
+    s = SymbolSeq.lacunary_rule(start, q, decay=0.75, power=0.5)
+    for hi in (0, start, 4999, 20000):
+        np.testing.assert_array_equal(s.support_between(0, hi), [n for n in support if n <= hi])
+    k = np.arange(len(support))
+    np.testing.assert_allclose(
+        s.values(support), np.array(support, dtype=float) ** -0.75 * (k + 1.0) ** -0.5, rtol=1e-15
+    )
+
 def test_randomized_symbol_determinism():
     base = SymbolSeq.powerlog(1.0, 1.0)
     r1 = SymbolSeq.randomized(base, DistTag("rademacher"), seed=42, stream=0)
