@@ -1,10 +1,13 @@
-"""Hot numeric kernels in numpy/BLAS: weighted sections, Gram assembly, the
-Hankel contraction and power iteration.  They keep no state and draw no random
-numbers, so a fixed input gives bit-identical output on a fixed numpy build.
+"""Hot numeric kernels in numpy/BLAS: dense weighted sections, Gram assembly,
+the Hankel contraction, power iteration on dense arrays and Golub-Kahan-Lanczos
+bidiagonalization on matrix-free operators.  They keep no state and draw no
+random numbers, so a fixed input gives bit-identical output on a fixed numpy
+build.
 """
 
 import numpy as np
 from scipy import linalg
+from scipy.linalg import lapack
 
 
 def weighted_hankel(sym, row_w, col_w):
@@ -79,3 +82,80 @@ def power_iteration(m, v0, tol, max_iter):
             return 0.0, True, it
         v = u / nu
     return float(np.sqrt(rho)), False, max_iter
+
+
+def _norm(w):
+    return np.sqrt(np.vdot(w, w).real)
+
+
+def _orthogonalize(basis, w):
+    """w minus its projection on the orthonormal rows of basis, and its norm.
+
+    A second pass runs when the first removes most of w ("twice is enough",
+    Parlett 1980), so a nearly dependent w still leaves orthogonal to basis.
+    """
+    for _ in range(2):
+        before = _norm(w)
+        w = w - basis.T @ np.conj(basis @ np.conj(w))
+        after = _norm(w)
+        if after > 0.5 * before:
+            break
+    return w, after
+
+
+def _top_ritz(alpha, beta):
+    """Top singular value of the upper bidiagonal B (diagonal alpha, superdiagonal
+    beta) and the last entry of its left singular vector, from the top
+    eigenpair of the tridiagonal B B^T (LAPACK bisection and inverse iteration)."""
+    k = alpha.shape[0]
+    if k == 1:
+        return float(alpha[0]), 1.0
+    d = alpha * alpha
+    d[:-1] += beta * beta
+    e = beta * alpha[1:]
+    _, w, block, split, _ = lapack.dstebz(d, e, 2, 0.0, 0.0, k, k, 0.0, b"B")
+    z, _ = lapack.dstein(d, e, w[:1], block, split)
+    return float(np.sqrt(w[0])), float(z[-1, 0])
+
+
+def golub_kahan(matvec, rmatvec, v0, tol, max_steps):
+    """Largest singular value of a matrix-free operator A by Golub-Kahan-Lanczos
+    bidiagonalization from v0, with full reorthogonalization.
+
+    matvec(x) = A x and rmatvec(y) = A^H y.  After k steps A V_k = U_k B_k and
+    A^H U_k = V_k B_k^T + beta_k v_{k+1} e_k^T, with B_k upper bidiagonal
+    (alpha on the diagonal, beta above it).  The top singular value sigma of
+    B_k, with left singular vector x, has residual beta_k |x_k|; the solve
+    stops when that is <= tol * sigma, or after min(max_steps, len(v0)) steps.
+    sigma is the norm of a compression of A, so it does not exceed ||A|| beyond
+    rounding.  The bases start at 16 rows and grow by half when full.  If
+    A v0 = 0 (as for the zero operator) sigma is exactly 0.0.
+
+    Returns (sigma, converged, steps, residual).
+    """
+    p = v0.shape[0]
+    max_steps = min(max_steps, p)
+    alpha, beta = np.empty(max_steps), np.empty(max_steps)
+    vs = np.empty((min(max_steps, 16), p), dtype=v0.dtype)
+    us = np.empty_like(vs)
+    vs[0] = v0 / _norm(v0)
+    u = matvec(vs[0])
+    alpha[0] = _norm(u)
+    if alpha[0] == 0.0:
+        return 0.0, True, 1, 0.0
+    us[0] = u / alpha[0]
+    for k in range(1, max_steps + 1):
+        w, beta[k - 1] = _orthogonalize(vs[:k], rmatvec(us[k - 1]) - alpha[k - 1] * vs[k - 1])
+        sigma, x_last = _top_ritz(alpha[:k], beta[: k - 1])
+        residual = beta[k - 1] * abs(x_last)
+        if residual <= tol * sigma or k == max_steps:
+            return sigma, bool(residual <= tol * sigma), k, float(residual)
+        if k == vs.shape[0]:  # grow both bases by half
+            extra = min(k // 2, max_steps - k)
+            vs = np.concatenate([vs, np.empty((extra, p), dtype=vs.dtype)])
+            us = np.concatenate([us, np.empty((extra, p), dtype=us.dtype)])
+        vs[k] = w / beta[k - 1]
+        r, alpha[k] = _orthogonalize(us[:k], matvec(vs[k]) - beta[k - 1] * us[k - 1])
+        if alpha[k] == 0.0:  # A maps span(V_{k+1}) into span(U_k): sigma is exact
+            return _top_ritz(alpha[: k + 1], beta[:k])[0], True, k + 1, 0.0
+        us[k] = r / alpha[k]

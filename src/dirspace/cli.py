@@ -41,8 +41,9 @@ increasing):
                 verdicts come from the symbol's closed-form class, and
                 DIVERGENCE_CAP in criteria.py is the Widom route's one
                 threshold
-    power       optional {"tol": f, "max_iter": int} for norm estimates,
-                nothing else
+    power       optional {"tol": f, "max_iter": int} for section norms,
+                nothing else: tol is the Golub-Kahan residual tolerance
+                relative to sigma, max_iter the Krylov step cap
     preset      demo only; one of the twelve check names in checks.py
                 (e.g. "hilbert", "widom-ladder") or "all"
 

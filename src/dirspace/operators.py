@@ -11,6 +11,12 @@ choices that make the Dirichlet/Bergman transpose identity exact are
 accepted ('dirichlet-section', w_n = n+1, and 'bergman', w_n = 1/(n+1)).
 Norm estimates in the exact-Dirichlet weights follow from the section-weight
 norm via the equivalence factor sqrt(2) and are reported as such by callers.
+
+Tail-section norms are matrix-free: the section is kept as its symbol slice
+and two weight vectors, a Hankel product is one correlation and a Cesaro
+product one cumsum, and Golub-Kahan-Lanczos bidiagonalization finds the top
+singular value in O(n) memory.  ``section_matrix`` is the dense view, and
+``top_singular_value`` (power iteration) serves dense arrays.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from .symbols import SymbolSeq
 
 SECTION_TAGS = ("dirichlet-section", "bergman")
 
-#: deterministic seed for power-iteration start vectors
+#: deterministic seed for power-iteration and Golub-Kahan start vectors
 _POWER_SEED = 0x1D5EED
 
 
@@ -47,8 +53,7 @@ def _sqrt_weights(n: int):
     return sq, 1.0 / sq
 
 
-def _section_entries(s: SymbolSeq, kind: str, tag: str, n: int, offset: int = 0) -> np.ndarray:
-    """Entries of the section restricted to rows/cols offset..n-1."""
+def _section_entries(s: SymbolSeq, kind: str, tag: str, n: int) -> np.ndarray:
     if tag not in SECTION_TAGS:
         raise ValueError(
             "section weight must be 'dirichlet-section' or 'bergman'; the exact "
@@ -56,15 +61,14 @@ def _section_entries(s: SymbolSeq, kind: str, tag: str, n: int, offset: int = 0)
             "derive exact-weight norms from the section norm via the sqrt(2) "
             "equivalence instead"
         )
-    if n < 1 or offset < 0 or offset >= n:
-        raise ValueError("need 0 <= offset < n and n >= 1")
+    if n < 1:
+        raise ValueError("need n >= 1")
     sq, inv = _sqrt_weights(n)
-    sq, inv = sq[offset:], inv[offset:]
     row_w, col_w = (sq, inv) if tag == "dirichlet-section" else (inv, sq)
     if kind == "hankel":
-        return _accel.weighted_hankel(s.values(np.arange(2 * offset, 2 * n - 1)), row_w, col_w)
+        return _accel.weighted_hankel(s.values(np.arange(0, 2 * n - 1)), row_w, col_w)
     if kind == "cesaro":
-        return _accel.weighted_triangular(s.values(np.arange(offset, n)), row_w, col_w)
+        return _accel.weighted_triangular(s.values(np.arange(0, n)), row_w, col_w)
     raise ValueError(f"unknown section kind {kind!r}")
 
 
@@ -78,7 +82,8 @@ def default_max_iter(n: int) -> int:
 
 
 def top_singular_value(m, tol: float = 1e-10, max_iter: int | None = None):
-    """Largest singular value via power iteration on v -> M^H (M v).
+    """Largest singular value of a dense array via power iteration on
+    v -> M^H (M v).
 
     Accepts a 2-D array with both dimensions >= 1.  The
     start vector is a fixed seeded pseudo-random unit vector, so results are
@@ -103,6 +108,67 @@ def top_singular_value(m, tol: float = 1e-10, max_iter: int | None = None):
     return sigma, converged
 
 
+#: tail dimension up to which the Hankel product is numpy's direct correlation:
+#: O(p^2) time, but up to here faster than the few calls of an FFT product
+_DIRECT_MAX_DIM = 512
+
+
+def _hankel_action(sym: np.ndarray, p: int):
+    """z -> H z with H[j, k] = sym[j + k] (j, k < p, len(sym) = 2p - 1), in O(p)
+    memory.  Past _DIRECT_MAX_DIM the product is one cyclic convolution of
+    power-of-two length >= 2p - 1 (so nothing wraps into the entries kept),
+    with the spectrum of sym computed once."""
+    if p <= _DIRECT_MAX_DIM:
+        return lambda z: np.correlate(sym, np.conj(z), "valid")
+    size = 1 << (2 * p - 2).bit_length()
+    if np.iscomplexobj(sym):
+        spec = np.fft.fft(sym, size)
+        return lambda z: np.fft.ifft(spec * np.fft.fft(z[::-1], size))[p - 1 : 2 * p - 1]
+    spec = np.fft.rfft(sym, size)
+    return lambda z: np.fft.irfft(spec * np.fft.rfft(z[::-1], size), size)[p - 1 : 2 * p - 1]
+
+
+def _tail_operator(s: SymbolSeq, kind: str, m: int, n: int):
+    """(matvec, rmatvec, dtype, shift): the dirichlet-section restricted to rows
+    and cols m..n-1, M[j, k] = sqrt(j+1) T[j, k] / sqrt(k+1), is 2^shift times
+    the operator returned, built from the symbol slice alone.  The slice is
+    scaled by a power of two to a largest modulus in [1/2, 1), exactly, so
+    the solve neither underflows nor overflows; shift is None when the slice
+    vanishes."""
+    sq, inv = _sqrt_weights(n)
+    sq, inv = sq[m:], inv[m:]
+    p = n - m
+    if kind == "hankel":
+        # H z with H[j, k] = lambda_{2m+j+k}; H is symmetric, so
+        # M^H y = inv * conj(H (sq * conj y))
+        sym, shift = _binary_normalized(s.values(np.arange(2 * m, 2 * n - 1)))
+        hank = _hankel_action(sym, p)
+        return (lambda x: sq * hank(inv * x)), (lambda y: inv * np.conj(hank(sq * np.conj(y)))), sym.dtype, shift
+    if kind == "cesaro":
+        # lower-triangular M[j, k] = a_j inv_k (k <= j) with a = sq * eta
+        eta, shift = _binary_normalized(s.values(np.arange(m, n)))
+        a = sq * eta
+        a_conj = np.conj(a)
+        return (
+            (lambda x: a * np.cumsum(inv * x)),
+            (lambda y: inv * np.cumsum((a_conj * y)[::-1])[::-1]),
+            a.dtype,
+            shift,
+        )
+    raise ValueError(f"unknown section kind {kind!r}")
+
+
+def _binary_normalized(values: np.ndarray):
+    """(values * 2^-shift, shift) with the largest modulus scaled into [1/2, 1);
+    (values, None) when every value is 0."""
+    top = np.max(np.abs(values))
+    if top == 0.0:
+        return values, None
+    shift = int(np.frexp(top)[1])
+    values = np.ascontiguousarray(values)
+    return np.ldexp(values.view(np.float64), -shift).view(values.dtype), shift
+
+
 def tail_section_norm(
     s: SymbolSeq,
     kind: str,
@@ -113,14 +179,25 @@ def tail_section_norm(
 ) -> float:
     """Top singular value of the dirichlet-section restricted to rows/cols >= m.
 
-    Nonincreasing in m for a fixed symbol and dimension (a principal
-    submatrix cannot have larger norm).
+    Matrix-free: Golub-Kahan-Lanczos (_accel.golub_kahan) on the structured
+    operator from a fixed seeded start vector, until the Ritz residual is
+    <= tol * sigma or after max_iter steps (default_max_iter(n - m)).  The
+    estimate is a lower bound up to rounding.  Nonincreasing in m for a fixed
+    symbol and dimension (a principal submatrix cannot have larger norm).
     """
     if not 0 <= m < n:
         raise ValueError("need 0 <= m < n")
-    entries = _section_entries(s, kind, "dirichlet-section", n, offset=m)
-    sigma, _ = top_singular_value(entries, tol=tol, max_iter=max_iter)
-    return sigma
+    if tol <= 0.0:
+        raise ValueError("tolerance must be positive")
+    if max_iter is not None and max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    matvec, rmatvec, dtype, shift = _tail_operator(s, kind, m, n)
+    if shift is None:
+        return 0.0
+    p = n - m
+    v0 = _rng.unit_start_vector(p, seed=_POWER_SEED).astype(dtype)
+    sigma, _, _, _ = _accel.golub_kahan(matvec, rmatvec, v0, tol, max_iter or default_max_iter(p))
+    return float(np.ldexp(sigma, shift))
 
 
 def cesaro_rkt_norm(s: SymbolSeq, t: float, n: int) -> float:

@@ -10,6 +10,9 @@ perfbench as it stands.
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,6 +44,16 @@ def test_traced_target_resolves(module, path):
     for attr in path.split("."):
         owner = getattr(owner, attr)
     assert callable(owner)
+
+
+def test_cli_import_loads_no_heavy_scipy_modules():
+    # the benchmark's setup_s times a fresh `import dirspace.cli`; each of
+    # these subpackages costs tens of milliseconds to import
+    code = "import sys, dirspace.cli; print(' '.join(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    heavy = ("scipy.sparse", "scipy.fft", "scipy.signal", "scipy.integrate")
+    assert [m for m in loaded.split() if m.startswith(heavy) and m.split(".")[1] in {h[6:] for h in heavy}] == []
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import linalg
 
 from conftest import random_poly, seeded_uniforms
+from dirspace import operators
 from dirspace.coeffspace import TaylorPoly, normalized_kernel_coeffs, space_norm
 from dirspace.measures import MeasureSpec
 from dirspace.operators import (
@@ -15,6 +19,7 @@ from dirspace.operators import (
     tail_section_norm,
     top_singular_value,
 )
+from dirspace.stochastic import DistTag, RngSpec, sample_symbol
 from dirspace.symbols import SymbolSeq
 
 
@@ -247,6 +252,103 @@ def test_tail_section_norms_monotone(sym, kind, n, extra, m_grid):
 def test_transpose_duality_for_drawn_symbols(sym, n):
     a = section_matrix(sym, "hankel", "dirichlet-section", n)
     assert np.array_equal(section_matrix(sym, "hankel", "bergman", n), a.T)
+
+
+@st.composite
+def _tail_sections(draw):
+    """(symbol, kind, m, n) with n <= 128: explicit real and complex symbols,
+    powerlog, lacunary rules, Lebesgue moments and randomized samples."""
+    real = st.floats(-1.0, 1.0, allow_subnormal=False)
+    sym = draw(
+        st.one_of(
+            st.builds(SymbolSeq.explicit, st.lists(real, min_size=1, max_size=255)),
+            st.builds(
+                SymbolSeq.explicit,
+                st.lists(st.complex_numbers(max_magnitude=1.0, allow_subnormal=False), min_size=1, max_size=255),
+            ),
+            st.builds(SymbolSeq.powerlog, st.floats(0.5, 2.0), st.floats(0.0, 2.0)),
+            st.builds(
+                SymbolSeq.lacunary_rule,
+                st.integers(1, 8), st.floats(1.5, 4.0), st.floats(0.0, 2.0), st.floats(0.0, 2.0),
+            ),
+            st.just(SymbolSeq.from_measure(MeasureSpec.lebesgue())),
+            st.builds(
+                lambda alpha, dist, seed: sample_symbol(SymbolSeq.powerlog(alpha, 1.0), DistTag(dist), RngSpec(seed), 254),
+                st.floats(0.5, 1.5),
+                st.sampled_from(["rademacher", "uniform-symmetric", "gaussian"]),
+                st.integers(0, 2**32),
+            ),
+        )
+    )
+    n = draw(st.integers(1, 128))
+    return sym, draw(st.sampled_from(["hankel", "cesaro"])), draw(st.integers(0, n - 1)), n
+
+
+def _dense_tail(sym, kind, m, n):
+    return operators._section_entries(sym, kind, "dirichlet-section", n)[m:, m:]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(case=_tail_sections(), fft=st.booleans())
+def test_structured_operator_matches_dense_section(case, fft):
+    sym, kind, m, n = case
+    dense = _dense_tail(sym, kind, m, n)
+    with pytest.MonkeyPatch.context() as patch:
+        if fft:  # the FFT Hankel product, which otherwise runs only past 512
+            patch.setattr(operators, "_DIRECT_MAX_DIM", 0)
+        matvec, rmatvec, dtype, shift = operators._tail_operator(sym, kind, m, n)
+    x = seeded_uniforms(17, n, n - m) - 0.5
+    if np.issubdtype(dtype, np.complexfloating):
+        x = x + 1j * (seeded_uniforms(18, n, n - m) - 0.5)
+    scale = 0.0 if shift is None else 2.0**shift
+    bound = 1e-13 * np.linalg.norm(dense) * np.linalg.norm(x)
+    assert np.linalg.norm(scale * matvec(x) - dense @ x) <= bound
+    assert np.linalg.norm(scale * rmatvec(x) - dense.conj().T @ x) <= bound
+
+
+def _assert_matches_lapack(got, dense):
+    want = linalg.svdvals(dense)[0]
+    assert abs(got - want) <= 1e-12 * want
+    assert got <= want * (1.0 + 1e-13)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(case=_tail_sections())
+def test_tail_section_norm_matches_lapack(case):
+    sym, kind, m, n = case
+    _assert_matches_lapack(tail_section_norm(sym, kind, m, n), _dense_tail(sym, kind, m, n))
+
+
+@pytest.mark.parametrize("replica", range(4))
+def test_random_sim_replica_matches_lapack(replica):
+    # a random-sim benchmark job's replicas: power iteration stopped at
+    # max_iter on these and was off by up to 5.5e-4 relative
+    n, m = 1024, 512
+    sym = sample_symbol(SymbolSeq.powerlog(1.0, 1.0), DistTag("rademacher"), RngSpec(20260809, replica), 2 * n - 2)
+    _assert_matches_lapack(tail_section_norm(sym, "hankel", m, n), _dense_tail(sym, "hankel", m, n))
+
+
+@pytest.mark.parametrize("value", [4.9e-222, 5e-324j, -1e300, 1e300 - 1e300j, -3.0 + 4.0j])
+def test_tail_section_norm_of_tiny_and_huge_symbols(value):
+    # one nonzero entry, at (0, 0): squared norms of such vectors under- or
+    # overflow unless the operator is scaled first
+    assert tail_section_norm(SymbolSeq.explicit([value]), "hankel", 0, 4) == pytest.approx(abs(value), rel=1e-14)
+    assert tail_section_norm(SymbolSeq.explicit([value]), "cesaro", 0, 4) == pytest.approx(abs(value), rel=1e-14)
+
+
+def test_tail_section_norm_in_linear_memory():
+    hilbert = SymbolSeq.from_measure(MeasureSpec.lebesgue())
+    tracemalloc.start()
+    try:
+        sigma = tail_section_norm(hilbert, "hankel", 0, 2**16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20  # the dense section would take 32 GiB
+    assert sigma >= tail_section_norm(hilbert, "hankel", 0, 2**14)
+    ref, converged = top_singular_value(section_matrix(hilbert, "hankel", "dirichlet-section", 2**12), tol=1e-14)
+    assert converged
+    assert abs(tail_section_norm(hilbert, "hankel", 0, 2**12) - ref) <= 1e-11
 
 
 def test_tail_section_norm_validation():
