@@ -147,9 +147,10 @@ def golub_kahan(matvec, rmatvec, v0, tol, max_steps):
     for k in range(1, max_steps + 1):
         w, beta[k - 1] = _orthogonalize(vs[:k], rmatvec(us[k - 1]) - alpha[k - 1] * vs[k - 1])
         sigma, x_last = _top_ritz(alpha[:k], beta[: k - 1])
-        residual = beta[k - 1] * abs(x_last)
-        if residual <= tol * sigma or k == max_steps:
-            return sigma, bool(residual <= tol * sigma), k, float(residual)
+        residual = float(beta[k - 1] * abs(x_last))
+        converged = residual <= tol * sigma
+        if converged or k == max_steps:
+            return sigma, converged, k, residual
         if k == vs.shape[0]:  # grow both bases by half
             extra = min(k // 2, max_steps - k)
             vs = np.concatenate([vs, np.empty((extra, p), dtype=vs.dtype)])

@@ -53,7 +53,8 @@ def _sqrt_weights(n: int):
     return sq, 1.0 / sq
 
 
-def _section_entries(s: SymbolSeq, kind: str, tag: str, n: int) -> np.ndarray:
+def section_matrix(s: SymbolSeq, kind: str, tag: str, n: int) -> np.ndarray:
+    """n x n weighted finite section of the Hankel or Cesaro operator."""
     if tag not in SECTION_TAGS:
         raise ValueError(
             "section weight must be 'dirichlet-section' or 'bergman'; the exact "
@@ -66,15 +67,10 @@ def _section_entries(s: SymbolSeq, kind: str, tag: str, n: int) -> np.ndarray:
     sq, inv = _sqrt_weights(n)
     row_w, col_w = (sq, inv) if tag == "dirichlet-section" else (inv, sq)
     if kind == "hankel":
-        return _accel.weighted_hankel(s.values(np.arange(0, 2 * n - 1)), row_w, col_w)
+        return _accel.weighted_hankel(s.values(np.arange(2 * n - 1)), row_w, col_w)
     if kind == "cesaro":
-        return _accel.weighted_triangular(s.values(np.arange(0, n)), row_w, col_w)
+        return _accel.weighted_triangular(s.values(np.arange(n)), row_w, col_w)
     raise ValueError(f"unknown section kind {kind!r}")
-
-
-def section_matrix(s: SymbolSeq, kind: str, tag: str, n: int) -> np.ndarray:
-    """n x n weighted finite section of the Hankel or Cesaro operator."""
-    return _section_entries(s, kind, tag, n)
 
 
 def default_max_iter(n: int) -> int:

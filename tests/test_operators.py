@@ -285,7 +285,7 @@ def _tail_sections(draw):
 
 
 def _dense_tail(sym, kind, m, n):
-    return operators._section_entries(sym, kind, "dirichlet-section", n)[m:, m:]
+    return section_matrix(sym, kind, "dirichlet-section", n)[m:, m:]
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
