@@ -288,7 +288,7 @@ def _dense_tail(sym, kind, m, n):
     return section_matrix(sym, kind, "dirichlet-section", n)[m:, m:]
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(case=_tail_sections(), fft=st.booleans())
 def test_structured_operator_matches_dense_section(case, fft):
     sym, kind, m, n = case
@@ -312,7 +312,7 @@ def _assert_matches_lapack(got, dense):
     assert got <= want * (1.0 + 1e-13)
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(case=_tail_sections())
 def test_tail_section_norm_matches_lapack(case):
     sym, kind, m, n = case
@@ -321,8 +321,8 @@ def test_tail_section_norm_matches_lapack(case):
 
 @pytest.mark.parametrize("replica", range(4))
 def test_random_sim_replica_matches_lapack(replica):
-    # a random-sim benchmark job's replicas: power iteration stopped at
-    # max_iter on these and was off by up to 5.5e-4 relative
+    # replicas of a benchmark random-sim job: sigma_2 / sigma_1 is 0.994 to
+    # 0.9996, so a solve that stops early is off by up to 1e-3 relative
     n, m = 1024, 512
     sym = sample_symbol(SymbolSeq.powerlog(1.0, 1.0), DistTag("rademacher"), RngSpec(20260809, replica), 2 * n - 2)
     _assert_matches_lapack(tail_section_norm(sym, "hankel", m, n), _dense_tail(sym, "hankel", m, n))
