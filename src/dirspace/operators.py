@@ -13,13 +13,17 @@ Norm estimates in the exact-Dirichlet weights follow from the section-weight
 norm via the equivalence factor sqrt(2) and are reported as such by callers.
 
 Tail-section norms are matrix-free: the section is kept as its symbol slice
-and two weight vectors, a Hankel product is one correlation and a Cesaro
-product one cumsum, and Golub-Kahan-Lanczos bidiagonalization finds the top
-singular value in O(n) memory.  ``section_matrix`` is the dense view, and
-``top_singular_value`` (power iteration) serves dense arrays.
+and two weight vectors, a Hankel product is one convolution (direct, or one
+FFT product past _accel._DIRECT_MAX_DIM) and a Cesaro product one cumsum, and
+Golub-Kahan-Lanczos bidiagonalization finds the top singular value in O(n)
+memory.  ``section_matrix`` is the dense view.  ``top_singular_value`` takes
+either a dense array (power iteration) or a matrix-free ``LinearMap``
+(Golub-Kahan-Lanczos), as the Carleson route's Gram factor is.
 """
 
 from __future__ import annotations
+
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -77,51 +81,54 @@ def default_max_iter(n: int) -> int:
     return int(50 * np.log2(max(n, 2))) + 200
 
 
-def top_singular_value(m, tol: float = 1e-10, max_iter: int | None = None):
-    """Largest singular value of a dense array via power iteration on
-    v -> M^H (M v).
+class LinearMap(NamedTuple):
+    """A matrix-free operator: matvec(x) = A x, rmatvec(y) = A^H y, with A of
+    the given (rows, cols) shape and dtype."""
 
-    Accepts a 2-D array with both dimensions >= 1.  The
-    start vector is a fixed seeded pseudo-random unit vector, so results are
-    reproducible.  Returns (sigma, converged); converged is False when
-    max_iter was exhausted, in which case sigma is the best (lower) estimate
-    reached.
+    matvec: Callable
+    rmatvec: Callable
+    shape: tuple
+    dtype: np.dtype
+
+
+def top_singular_value(m, tol: float = 1e-10, max_iter: int | None = None):
+    """Largest singular value of a dense array or a LinearMap.
+
+    A dense array (2-D, both dimensions >= 1) is scaled exactly by a power of
+    two to a largest modulus in [1/2, 1), so squared norms neither underflow
+    nor overflow, and solved by power iteration on v -> M^H (M v) for at most
+    max_iter iterations (default_max_iter of its row count); converged means
+    successive Rayleigh quotients agree to tol.  A LinearMap goes to
+    Golub-Kahan-Lanczos bidiagonalization for at most max_iter steps (default
+    default_max_iter of its smaller dimension); converged means the Ritz
+    residual is <= tol * sigma.  The caller scales a LinearMap.  The start
+    vector is a fixed seeded pseudo-random unit vector, so results are
+    reproducible.  Returns (sigma, converged); sigma is a lower estimate when
+    converged is False.
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
     if max_iter is not None and max_iter < 1:
         raise ValueError("max_iter must be >= 1")
+    if isinstance(m, LinearMap):
+        v0 = _rng.unit_start_vector(m.shape[1], seed=_POWER_SEED).astype(m.dtype)
+        max_steps = max_iter or default_max_iter(min(m.shape))
+        sigma, converged, _, _ = _accel.golub_kahan(m.matvec, m.rmatvec, v0, tol, max_steps)
+        return sigma, converged
     arr = np.asarray(m)
     if arr.ndim != 2 or 0 in arr.shape:
         raise ValueError(f"need a 2-D matrix with both dimensions >= 1, got shape {arr.shape}")
+    arr, shift = _binary_normalized(arr)
+    if shift is None:
+        return 0.0, True
     if max_iter is None:
         max_iter = default_max_iter(arr.shape[0])
     for restart in range(3):
         v0 = _rng.unit_start_vector(arr.shape[1], seed=_POWER_SEED, stream=restart)
         sigma, converged, _ = _accel.power_iteration(arr, v0, tol, max_iter)
-        if sigma > 0.0 or not arr.any():
-            return sigma, converged
-    return sigma, converged
-
-
-#: tail dimension up to which the Hankel product is numpy's direct correlation:
-#: O(p^2) time, but up to here faster than the few calls of an FFT product
-_DIRECT_MAX_DIM = 512
-
-
-def _hankel_action(sym: np.ndarray, p: int):
-    """z -> H z with H[j, k] = sym[j + k] (j, k < p, len(sym) = 2p - 1), in O(p)
-    memory.  Past _DIRECT_MAX_DIM the product is one cyclic convolution of
-    power-of-two length >= 2p - 1 (so nothing wraps into the entries kept),
-    with the spectrum of sym computed once."""
-    if p <= _DIRECT_MAX_DIM:
-        return lambda z: np.correlate(sym, np.conj(z), "valid")
-    size = 1 << (2 * p - 2).bit_length()
-    if np.iscomplexobj(sym):
-        spec = np.fft.fft(sym, size)
-        return lambda z: np.fft.ifft(spec * np.fft.fft(z[::-1], size))[p - 1 : 2 * p - 1]
-    spec = np.fft.rfft(sym, size)
-    return lambda z: np.fft.irfft(spec * np.fft.rfft(z[::-1], size), size)[p - 1 : 2 * p - 1]
+        if sigma > 0.0:
+            break
+    return float(np.ldexp(sigma, shift)), converged
 
 
 def _tail_operator(s: SymbolSeq, kind: str, m: int, n: int):
@@ -135,11 +142,16 @@ def _tail_operator(s: SymbolSeq, kind: str, m: int, n: int):
     sq, inv = sq[m:], inv[m:]
     p = n - m
     if kind == "hankel":
-        # H z with H[j, k] = lambda_{2m+j+k}; H is symmetric, so
-        # M^H y = inv * conj(H (sq * conj y))
+        # H z with H[j, k] = lambda_{2m+j+k}, the valid convolution of the
+        # slice with z reversed; H is symmetric, so M^H y = inv * conj(H (sq * conj y))
         sym, shift = _binary_normalized(s.values(np.arange(2 * m, 2 * n - 1)))
-        hank = _hankel_action(sym, p)
-        return (lambda x: sq * hank(inv * x)), (lambda y: inv * np.conj(hank(sq * np.conj(y)))), sym.dtype, shift
+        conv = _accel.convolution(sym, p, "valid")
+        return (
+            (lambda x: sq * conv((inv * x)[::-1])),
+            (lambda y: inv * np.conj(conv((sq * np.conj(y))[::-1]))),
+            sym.dtype,
+            shift,
+        )
     if kind == "cesaro":
         # lower-triangular M[j, k] = a_j inv_k (k <= j) with a = sq * eta
         eta, shift = _binary_normalized(s.values(np.arange(m, n)))
@@ -155,13 +167,13 @@ def _tail_operator(s: SymbolSeq, kind: str, m: int, n: int):
 
 
 def _binary_normalized(values: np.ndarray):
-    """(values * 2^-shift, shift) with the largest modulus scaled into [1/2, 1);
-    (values, None) when every value is 0."""
+    """(values * 2^-shift, shift) in double precision, with the largest modulus
+    scaled into [1/2, 1); (values, None) when every value is 0."""
     top = np.max(np.abs(values))
     if top == 0.0:
         return values, None
     shift = int(np.frexp(top)[1])
-    values = np.ascontiguousarray(values)
+    values = np.ascontiguousarray(values, dtype=np.result_type(values.dtype, np.float64))
     return np.ldexp(values.view(np.float64), -shift).view(values.dtype), shift
 
 
@@ -190,9 +202,7 @@ def tail_section_norm(
     matvec, rmatvec, dtype, shift = _tail_operator(s, kind, m, n)
     if shift is None:
         return 0.0
-    p = n - m
-    v0 = _rng.unit_start_vector(p, seed=_POWER_SEED).astype(dtype)
-    sigma, _, _, _ = _accel.golub_kahan(matvec, rmatvec, v0, tol, max_iter or default_max_iter(p))
+    sigma, _ = top_singular_value(LinearMap(matvec, rmatvec, (n - m, n - m), dtype), tol, max_iter)
     return float(np.ldexp(sigma, shift))
 
 

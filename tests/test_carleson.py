@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import linalg
 
 from conftest import quad_gram_entry, random_poly
+from dirspace import operators
 from dirspace.carleson import (
     VANISH_DELTA,
     classify_hankel_general,
@@ -12,7 +16,7 @@ from dirspace.carleson import (
     symbol_poly,
     x_norm,
 )
-from dirspace.coeffspace import TaylorPoly
+from dirspace.coeffspace import TaylorPoly, weight_sequence
 from dirspace.measures import MeasureSpec
 from dirspace.symbols import SymbolSeq
 
@@ -64,6 +68,56 @@ def test_finite_test_norm_monotone_in_degree():
     vals = [finite_test_carleson_norm(b, n) for n in (32, 64, 128, 256)]
     for a, c in zip(vals, vals[1:]):
         assert c >= a - 1e-10
+
+
+def _dense_norm(b, n, delta=None):
+    """Top eigenvalue of D^(-1/2) G D^(-1/2) from the assembled Gram."""
+    scale = 1.0 / np.sqrt(weight_sequence("dirichlet-exact", n))
+    return linalg.eigvalsh(symbol_gram(b, n, delta) * scale[:, None] * scale[None, :])[-1]
+
+
+def _assert_matches_dense_gram(b, n, delta):
+    got = finite_test_carleson_norm(b, n) if delta is None else restricted_carleson_norm(b, n, delta)
+    want = _dense_norm(b, n, delta)
+    assert abs(got - want) <= 1e-12 * want
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(
+    degree=st.integers(1, 128),
+    n=st.integers(0, 128),
+    complex_b=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    delta=st.one_of(st.none(), st.floats(2.0**-8, 0.99)),
+)
+def test_carleson_norms_match_the_dense_gram(degree, n, complex_b, seed, delta):
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal(degree + 1)
+    if complex_b:
+        coeffs = coeffs + 1j * rng.standard_normal(degree + 1)
+    _assert_matches_dense_gram(TaylorPoly(coeffs), n, delta)
+
+
+@pytest.mark.parametrize("n", [600, 1024])
+@pytest.mark.parametrize("delta", [None, VANISH_DELTA])
+@pytest.mark.parametrize("rotated", [False, True])
+def test_carleson_norms_match_the_dense_gram_past_the_fft_switch(n, delta, rotated):
+    b = symbol_poly(SymbolSeq.powerlog(1.0, 1.0), n)
+    if rotated:
+        b = TaylorPoly(b.coeffs * np.exp(1j * np.arange(n + 1.0)))
+    _assert_matches_dense_gram(b, n, delta)
+
+
+def test_carleson_norms_of_zero_and_tiny_symbols():
+    for b in (TaylorPoly([0.0]), TaylorPoly([3.0, 0.0])):
+        assert finite_test_carleson_norm(b, 16) == 0.0
+        assert restricted_carleson_norm(b, 16, 0.5) == 0.0
+    # squared Gram entries of 1e-150 z underflow unless b' is scaled first
+    assert abs(finite_test_carleson_norm(TaylorPoly([0.0, 1e-150]), 16) - 1e-300) <= 1e-12 * 1e-300
+    tiny = restricted_carleson_norm(TaylorPoly([0.0, 1e-150j]), 16, 0.25)
+    assert abs(tiny - 1e-300 * (1.0 - 0.75**2)) <= 1e-12 * tiny
+    # 1e-160^2 is subnormal: fewer digits, but not zero
+    assert finite_test_carleson_norm(TaylorPoly([0.0, 1e-160, 1e-160]), 16) > 0.0
 
 
 def test_x_norm_examples():
@@ -178,6 +232,17 @@ def test_classify_general_lacunary_saturates_with_boundary_decay():
     # restricted norms decay across the delta schedule at the top degree
     restr = [restricted_carleson_norm(b.truncate(512), 512, d) for d in (2.0**-3, 2.0**-5, 2.0**-7)]
     assert restr[0] > restr[1] > restr[2]
+
+
+def test_classify_general_reports_solves_stopped_at_the_step_cap(monkeypatch):
+    b = symbol_poly(SymbolSeq.powerlog(1.0, 1.0), 128)
+    assert not any(note.startswith("unconverged") for note in classify_hankel_general(b, [64, 128]).notes)
+    monkeypatch.setattr(operators, "default_max_iter", lambda n: 2)
+    rep = classify_hankel_general(b, [64, 128])
+    assert rep.notes[-3:] == [
+        f"unconverged: {what} stopped at its step cap, a lower estimate"
+        for what in ("x-norm at degree 64", "x-norm at degree 128", "restricted norm at degree 128")
+    ]
 
 
 def test_classify_general_compact_point_mass():

@@ -372,20 +372,21 @@ def test_carleson_command_reuses_the_verdicts_restricted_norm(monkeypatch):
     from dirspace import carleson
 
     deltas = []
-    restricted = carleson.restricted_carleson_norm
+    solve = carleson._carleson_solve
 
-    def counted(b, n, delta):
-        deltas.append(delta)
-        return restricted(b, n, delta)
+    def counted(b, n, delta=None):
+        if delta is not None:
+            deltas.append(delta)
+        return solve(b, n, delta)
 
-    monkeypatch.setattr(carleson, "restricted_carleson_norm", counted)
+    monkeypatch.setattr(carleson, "_carleson_solve", counted)
     symbol = {"kind": "powerlog", "alpha": 1.0, "beta": 1.0}
     report = run_config(
         {"command": "carleson", "symbol": symbol, "n_grid": [16, 32], "delta_grid": [carleson.VANISH_DELTA, 0.5]}
     )
-    assert sorted(deltas) == [carleson.VANISH_DELTA, 0.5]  # the annulus Gram at VANISH_DELTA is built once
+    assert sorted(deltas) == [carleson.VANISH_DELTA, 0.5]  # the annulus solve at VANISH_DELTA runs once
     b = carleson.symbol_poly(cli._parse_symbol(symbol), 32)
-    assert report["curves"][1]["rows"][0][2] == restricted(b, 32, carleson.VANISH_DELTA)
+    assert report["curves"][1]["rows"][0][2] == carleson.restricted_carleson_norm(b, 32, carleson.VANISH_DELTA)
 
 
 def test_random_sim_command_and_seed():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import linalg
 
 from conftest import random_poly, seeded_uniforms
-from dirspace import operators
+from dirspace import _accel, operators
 from dirspace.coeffspace import TaylorPoly, normalized_kernel_coeffs, space_norm
 from dirspace.measures import MeasureSpec
 from dirspace.operators import (
@@ -59,6 +59,23 @@ def test_hankel_apply_matches_direct_sum():
     for n in range(7):
         direct = sum(s.value(n + k) * f.coeffs[k] for k in range(8))
         assert out.coeffs[n] == pytest.approx(direct, abs=1e-14)
+
+
+@pytest.mark.parametrize("degree", [100, 4096])
+@pytest.mark.parametrize("complex_data", [False, True])
+def test_hankel_dot_matches_the_direct_correlation(degree, complex_data):
+    # direct up to _DIRECT_MAX_DIM, one FFT product past it
+    sym = seeded_uniforms(71, degree, 2 * degree + 1) - 0.5
+    a = seeded_uniforms(72, degree, degree + 1) - 0.5
+    if complex_data:
+        sym = sym + 1j * (seeded_uniforms(73, degree, 2 * degree + 1) - 0.5)
+        a = a + 1j * (seeded_uniforms(74, degree, degree + 1) - 0.5)
+    got = _accel.hankel_dot(sym, a, degree)
+    want = np.correlate(sym, np.conj(a), "valid")
+    if degree < _accel._DIRECT_MAX_DIM:
+        assert np.array_equal(got, want)
+    else:
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(sym) * np.linalg.norm(a)
 
 
 def test_hankel_apply_linearity():
@@ -187,6 +204,52 @@ def test_top_singular_value_rejects_bad_iteration_settings():
             top_singular_value(bad)
 
 
+@pytest.mark.parametrize(
+    "m, want",
+    [
+        (np.array([[4.9e-222]]), 4.9e-222),
+        # |a|^2 of every iterate underflows unless the matrix is scaled first
+        (section_matrix(SymbolSeq.explicit([1e-170, 2e-170]), "hankel", "dirichlet-section", 2), None),
+        (np.full((3, 4), 1e300), 1e300 * np.sqrt(12.0)),
+    ],
+    ids=["subnormal-entry", "tiny-section", "huge-entries"],
+)
+def test_top_singular_value_of_tiny_and_huge_matrices(m, want):
+    want = linalg.svdvals(m)[0] if want is None else want
+    sigma, conv = top_singular_value(m, tol=1e-13)
+    assert conv and abs(sigma - want) <= 1e-12 * want
+
+
+def _dense_map(m):
+    return operators.LinearMap(lambda x: m @ x, lambda y: m.conj().T @ y, m.shape, m.dtype)
+
+
+@pytest.mark.parametrize("shape", [(40, 25), (25, 40), (7, 3), (3, 7), (1, 9), (9, 1)])
+@pytest.mark.parametrize("complex_m", [False, True])
+def test_golub_kahan_on_rectangular_operators(shape, complex_m):
+    q, p = shape
+    m = seeded_uniforms(61, p, q * p).reshape(q, p) - 0.5
+    if complex_m:
+        m = m + 1j * (seeded_uniforms(62, p, q * p).reshape(q, p) - 0.5)
+    v0 = seeded_uniforms(63, q, p).astype(m.dtype)
+    sigma, converged, steps, residual = _accel.golub_kahan(*_dense_map(m)[:2], v0, 1e-12, 1000)
+    want = linalg.svdvals(m)[0]
+    assert converged and steps <= min(p, q) and residual <= 1e-12 * sigma
+    assert abs(sigma - want) <= 1e-12 * want
+    assert top_singular_value(_dense_map(m), tol=1e-12)[0] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(6, 9), (9, 6)])
+def test_golub_kahan_stops_exactly_on_a_rank_one_operator(shape):
+    # one nonzero row: A v lies on e_2, and removing u_1 = +-e_2 from it is exact
+    m = np.zeros(shape)
+    m[2] = seeded_uniforms(64, 0, shape[1]) - 0.5
+    v0 = seeded_uniforms(65, 0, shape[1])
+    sigma, converged, steps, residual = _accel.golub_kahan(*_dense_map(m)[:2], v0, 1e-14, 1000)
+    assert (converged, steps, residual) == (True, 2, 0.0)
+    assert sigma == pytest.approx(np.linalg.norm(m[2]), rel=1e-14)
+
+
 def test_section_norm_monotone_in_n():
     s = SymbolSeq.powerlog(1.0, 1.0)
     sig = []
@@ -295,7 +358,7 @@ def test_structured_operator_matches_dense_section(case, fft):
     dense = _dense_tail(sym, kind, m, n)
     with pytest.MonkeyPatch.context() as patch:
         if fft:  # the FFT Hankel product, which otherwise runs only past 512
-            patch.setattr(operators, "_DIRECT_MAX_DIM", 0)
+            patch.setattr(_accel, "_DIRECT_MAX_DIM", 0)
         matvec, rmatvec, dtype, shift = operators._tail_operator(sym, kind, m, n)
     x = seeded_uniforms(17, n, n - m) - 0.5
     if np.issubdtype(dtype, np.complexfloating):
