@@ -98,9 +98,9 @@ def test_carleson_norms_match_the_dense_gram(degree, n, complex_b, seed, delta):
     _assert_matches_dense_gram(TaylorPoly(coeffs), n, delta)
 
 
-@pytest.mark.parametrize("n", [600, 1024])
-@pytest.mark.parametrize("delta", [None, VANISH_DELTA])
-@pytest.mark.parametrize("rotated", [False, True])
+@pytest.mark.parametrize(
+    "n, delta, rotated", [(600, None, False), (600, VANISH_DELTA, True), (1024, None, True), (1024, VANISH_DELTA, False)]
+)
 def test_carleson_norms_match_the_dense_gram_past_the_fft_switch(n, delta, rotated):
     b = symbol_poly(SymbolSeq.powerlog(1.0, 1.0), n)
     if rotated:
