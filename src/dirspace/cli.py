@@ -38,9 +38,8 @@ increasing):
     count/max_len  doublesum battery size
     seed/stream    required for stochastic commands
     classify    optional {"m_grid": [int...], "nmax": int}, nothing else;
-                verdicts come from the symbol's closed-form class, and
-                DIVERGENCE_CAP in criteria.py is the Widom route's one
-                threshold
+                a Widom-route verdict is the symbol's closed-form class or
+                inconclusive
     power       optional {"tol": f, "max_iter": int} for section norms,
                 nothing else: tol is the Golub-Kahan residual tolerance
                 relative to sigma, max_iter the Krylov step cap
@@ -402,12 +401,12 @@ def _run_carleson(cfg: dict) -> tuple[dict, list]:
         raise ConfigError("delta_grid", "annulus widths must lie in (0, 1)")
     n_top = max(n_grid)
     b_top = carleson.symbol_poly(sym, n_top)
-    # the verdict's profile is the x-norm sweep, so each x-norm Gram is built once
+    # the verdict's profile is the x-norm sweep, so each x-norm is solved once
     report = carleson.classify_hankel_general(b_top, n_grid)
     restr_rows = []
     for delta in delta_grid:
         if delta == carleson.VANISH_DELTA and report.restricted_norm is not None:
-            r = report.restricted_norm  # the verdict's boundary test, same Gram
+            r = report.restricted_norm  # the verdict's boundary test, same solve
         else:
             r = carleson.restricted_carleson_norm(b_top, n_top, delta)
         restr_rows.append([delta, r, r, r])

@@ -9,15 +9,11 @@ P(m) = S(m) * log(m+2) over a dyadic grid of cutoffs goes into every report.
 
 Verdicts come from the closed-form order of S(m) (SymbolSeq.widom_class),
 which every symbol kind with a certified remainder has: finite symbols,
-powerlog (alpha, beta), lacunary rules (decay, power) and atom-only moments.
-The profile is evidence, not the decision.  For the other kinds (measures
-with a density, randomized symbols over an infinite base) the only proxy is
-heuristic:
-
-* unbounded    -- the partial sums already exceed DIVERGENCE_CAP;
-* inconclusive -- anything else.
-
-Symbols without a closed-form class never receive bounded/compact.
+powerlog (alpha, beta), lacunary rules (decay, power) and atom-only moments,
+and which moments of a measure with a density have when a density's
+exponents make it unbounded.  The profile is evidence, not the decision:
+every other symbol (bounded or compact densities, randomized symbols over an
+infinite base) is inconclusive.
 """
 
 from __future__ import annotations
@@ -29,8 +25,6 @@ import numpy as np
 from . import operators
 from .coeffspace import kernel_degree_for_tail, normalized_kernel_coeffs, space_norm
 from .symbols import MONOTONE_DECREASING, SymbolSeq, WidomTail
-
-DIVERGENCE_CAP = 10.0  # symbols without a closed form: unbounded past this
 
 KERNEL_TAIL_TOL = 1e-12  # rkt_probe: bound on each truncated kernel's tail
 MAX_KERNEL_DEGREE = 1 << 20  # rkt_probe: cap on the kernel truncation degree
@@ -92,9 +86,8 @@ def classify(s: SymbolSeq, kind: str, cfg: ClassifyConfig | None = None) -> Clas
     """Boundedness/compactness verdict for the Hankel or Cesaro operator.
 
     The verdict is the symbol's closed-form class (SymbolSeq.widom_class)
-    when it has one; otherwise partial sums past DIVERGENCE_CAP give
-    unbounded and anything else inconclusive, both heuristic.  The Widom
-    profile over cfg.m_grid is reported either way.
+    when it has one and inconclusive otherwise.  The Widom profile over
+    cfg.m_grid is reported either way.
 
     Only a closed-form verdict is theorem-exact, and only where the theorem
     applies: kind = 'cesaro' with any complex symbol, or kind = 'hankel'
@@ -116,17 +109,11 @@ def classify(s: SymbolSeq, kind: str, cfg: ClassifyConfig | None = None) -> Clas
             "(carleson.classify_hankel_general) for certified evidence"
         )
     applicability = "theorem-exact" if exact else "heuristic"
-    if verdict is not None:
-        notes.append(f"closed-form order of S(m) for this {s.kind} symbol; the profile is evidence only")
-        return ClassReport(verdict, applicability, profile, notes)
-    if max(p.lower for p in profile) > DIVERGENCE_CAP:
-        notes.append(
-            "remainder not certifiable for this symbol kind; partial sums "
-            f"already exceed the cap {DIVERGENCE_CAP}"
-        )
-        return ClassReport("unbounded", applicability, profile, notes)
-    notes.append("remainder not certifiable for this symbol kind")
-    return ClassReport("inconclusive", applicability, profile, notes)
+    if verdict is None:
+        notes.append("remainder not certifiable for this symbol kind")
+        return ClassReport("inconclusive", applicability, profile, notes)
+    notes.append(f"closed-form order of S(m) for this {s.kind} symbol; the profile is evidence only")
+    return ClassReport(verdict, applicability, profile, notes)
 
 
 def rkt_probe(s: SymbolSeq, kind: str, t_grid, n: int) -> ProbeReport:

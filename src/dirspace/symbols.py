@@ -19,7 +19,9 @@ for atomic moment symbols and ruled lacunary symbols, and "not certified"
 otherwise.  The same exponents give each such symbol its closed-form class
 (widom_class): the order of S(m) = sum_{n >= m} n |lambda_n|^2 against
 1/log m, which is the classification layer's verdict, and one rule on them
-(_diverges) flags the tails that are infinite.
+(_diverges) flags the tails that are infinite.  A density's exponents
+(gamma + 1, delta) do both for moment symbols, though only its unbounded
+class is a verdict until its tail is certified.
 """
 
 from __future__ import annotations
@@ -269,9 +271,11 @@ class SymbolSeq:
     def widom_class(self) -> str | None:
         """Closed-form order of S(m) = sum_{n >= m} n |lambda_n|^2 against
         1/log m: 'compact' (little-o), 'bounded' (big-O only) or 'unbounded',
-        from the same exponents tail_remainder uses.  None for the kinds
-        without a closed form: measures with a density and randomized
-        symbols over an infinite base."""
+        from the same exponents tail_remainder uses.  A density's moments
+        have the order of powerlog(gamma + 1, delta) (Karamata's Abelian
+        theorem), and a measure takes the class of its slowest component;
+        its bounded and compact classes wait for a certified density tail,
+        so they give None, as randomized symbols over an infinite base do."""
         if self.finite_support_bound is not None:
             return "compact"
         if self.kind == "powerlog":
@@ -281,8 +285,11 @@ class SymbolSeq:
             # sum over n_k ~ q^k of n_k^(1 - 2 decay) (k+1)^(-2 power) has the
             # order of powerlog(decay + 1/2, power), with log n_k ~ k log q
             return _log_power_class(rule["decay"] + 0.5, rule["power"])
-        if self.kind == "moments" and not self.params["measure"].has_density:
-            return "compact"  # atoms in [0, 1): geometric decay
+        if self.kind == "moments":
+            densities = self.params["measure"].densities
+            if any(_log_power_class(d.gamma + 1.0, d.delta) == "unbounded" for d in densities):
+                return "unbounded"
+            return None if densities else "compact"  # atoms in [0, 1): geometric decay
         return None
 
     # -- internals ----------------------------------------------------------
@@ -398,10 +405,13 @@ def _moments_tail(measure, nmax: int, weight: str) -> WidomTail:
 
     Atom-only measures (support supremum < 1) admit an exact closed form via
     sum_{n>N} w(n) x^n over products of atom locations; measures with a
-    density component (c > 0) reach up to t = 1 and are not certified.
+    density component (c > 0) reach up to t = 1 and are not certified, but
+    a density whose powerlog(gamma + 1, delta) exponents diverge makes the
+    tail divergent.
     """
     if measure.has_density:
-        return WidomTail(nmax + 1, 0.0, np.inf)
+        divergent = any(_diverges(d.gamma + 1.0, d.delta) for d in measure.densities)
+        return WidomTail(nmax + 1, 0.0, np.inf, divergent)
     lower = upper = 0.0
     for loc_j, mass_j in measure.atoms:
         for loc_i, mass_i in measure.atoms:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import quad_dirichlet_norm_sq, random_poly
 from dirspace.coeffspace import (
@@ -119,6 +121,18 @@ def test_normalized_kernel_brackets_unit_norm(t):
     nsq = space_norm(p, "dirichlet-exact") ** 2
     assert nsq <= 1.0 + 1e-12
     assert nsq + scale_sq * tail >= 1.0 - 1e-12
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(t=st.floats(0.0, 0.999), degree=st.integers(0, 4096))
+def test_normalized_kernel_meets_its_tail_bound(t, degree):
+    # ||p||^2 <= 1 <= ||p||^2 + s2 * tail, up to a few roundings of the sum
+    p, tail = normalized_kernel_coeffs(t, degree)
+    s2 = 1.0 / (1.0 + np.log(1.0 / (1.0 - t * t)))
+    nsq = space_norm(p, "dirichlet-exact") ** 2
+    pad = 64.0 * np.finfo(np.float64).eps
+    assert nsq <= 1.0 + pad
+    assert nsq + s2 * tail >= 1.0 - pad
 
 
 def test_kernel_degree_for_tail():

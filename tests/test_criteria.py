@@ -16,6 +16,7 @@ from dirspace.criteria import (
 )
 from dirspace.measures import MeasureSpec
 from dirspace.operators import cesaro_rkt_norm
+from dirspace.stochastic import DistTag
 from dirspace.symbols import SymbolSeq
 
 
@@ -245,20 +246,25 @@ def test_classify_zero_symbol():
     assert rep.verdict == "compact"
 
 
-def test_classify_uncertified_unbounded_by_cap():
-    # Lebesgue moments: density measure, remainder not certifiable, but the
-    # partial sums blow past the divergence cap
+def test_classify_lebesgue_unbounded_theorem_exact():
+    # Lebesgue moments (the Hilbert matrix): the density's exponents give the
+    # class of powerlog(1, 0), and the divergent tail reaches every profile row
     rep = classify(SymbolSeq.from_measure(MeasureSpec.lebesgue()), "hankel")
-    assert rep.verdict == "unbounded"
-    assert any("cap" in note for note in rep.notes)
+    assert (rep.verdict, rep.applicability) == ("unbounded", "theorem-exact")
+    assert all(p.divergent and p.upper == np.inf for p in rep.profile)
 
 
 def test_classify_uncertified_inconclusive():
-    # a tame density measure: certification unavailable, partials small
-    spec = MeasureSpec(densities=[{"c": 1.0, "gamma": 3.0}])
-    rep = classify(SymbolSeq.from_measure(spec), "hankel")
-    assert rep.verdict in ("inconclusive", "compact")  # must not claim compact...
-    assert rep.verdict == "inconclusive"
+    # compact symbols without a certified tail: the verdict is inconclusive
+    # (never compact), however far the profile rises; the scaled density and
+    # the randomized symbol have the class of powerlog(2, 0)
+    tame = MeasureSpec(densities=[{"c": 1.0, "gamma": 3.0}])
+    scaled = MeasureSpec(densities=[{"c": 100.0, "gamma": 1.0}])
+    rand = SymbolSeq.randomized(SymbolSeq.powerlog(2.0, 0.0, scale=100.0), DistTag("rademacher"), seed=3)
+    for s, large in ((SymbolSeq.from_measure(tame), False), (SymbolSeq.from_measure(scaled), True), (rand, True)):
+        rep = classify(s, "hankel")
+        assert rep.verdict == "inconclusive"
+        assert (max(p.lower for p in rep.profile) > 10.0) == large
 
 
 def _rises(rep) -> bool:

@@ -125,15 +125,20 @@ def test_random_tail_requires_membership():
         random_tail_experiment(
             SymbolSeq.powerlog(1.0, 0.0), DistTag("rademacher"), 2, [8], 32, RngSpec(1)
         )
-    # density-moment symbols are uncertified, also rejected
-    with pytest.raises(ValueError, match="certified"):
+    # a gamma = 3 density's membership sum is finite but not certified
+    with pytest.raises(ValueError, match="not certified"):
         random_tail_experiment(
-            SymbolSeq.from_measure(MeasureSpec.lebesgue()),
+            SymbolSeq.from_measure(MeasureSpec(densities=[{"c": 1.0, "gamma": 3.0}])),
             DistTag("rademacher"),
             2,
             [8],
             32,
             RngSpec(1),
+        )
+    # Lebesgue moments: the membership sum diverges
+    with pytest.raises(ValueError, match="divergent"):
+        random_tail_experiment(
+            SymbolSeq.from_measure(MeasureSpec.lebesgue()), DistTag("rademacher"), 2, [8], 32, RngSpec(1)
         )
 
 

@@ -16,7 +16,27 @@ def test_widom_class_by_kind():
         SymbolSeq.from_measure(MeasureSpec()),
     ]
     assert [s.widom_class() for s in finite] == ["compact"] * len(finite)
-    assert SymbolSeq.from_measure(MeasureSpec.lebesgue()).widom_class() is None
+    # a density's moments have the class of powerlog(gamma + 1, delta) whatever
+    # c and kappa, a mixture the class of its slowest part; only the unbounded
+    # class is reported until a density tail is certified
+    densities = {
+        "lebesgue": ([], [{"c": 1.0, "gamma": 0.0}], "unbounded"),
+        "gamma<0": ([], [{"c": 1.0, "gamma": -0.5}], "unbounded"),
+        "gamma=0,delta=0.75": ([], [{"c": 1.0, "gamma": 0.0, "delta": 0.75}], "unbounded"),
+        "gamma=0,delta=1": ([], [{"c": 1.0, "gamma": 0.0, "delta": 1.0}], None),  # bounded
+        "gamma=0,delta=1.5": ([], [{"c": 1.0, "gamma": 0.0, "delta": 1.5}], None),  # compact
+        "gamma=0,delta<0": ([], [{"c": 1.0, "gamma": 0.0, "delta": -1.0}], "unbounded"),
+        "gamma=1,delta<0": ([], [{"c": 1.0, "gamma": 1.0, "delta": -1.0}], None),
+        "gamma=0,kappa=2": ([], [{"c": 1.0, "gamma": 0.0, "kappa": 2.0}], "unbounded"),
+        "gamma=1,kappa=2": ([], [{"c": 1.0, "gamma": 1.0, "kappa": 2.0}], None),
+        "c=100,gamma=0": ([], [{"c": 100.0, "gamma": 0.0}], "unbounded"),
+        "c=100,gamma=1": ([], [{"c": 100.0, "gamma": 1.0}], None),
+        "atom+lebesgue": ([(0.5, 1.0)], [{"c": 1.0, "gamma": 0.0}], "unbounded"),
+        "atom+gamma=2": ([(0.5, 1.0)], [{"c": 1.0, "gamma": 2.0}], None),
+        "gamma=2+gamma<0": ([], [{"c": 1.0, "gamma": 2.0}, {"c": 1e-6, "gamma": -0.5}], "unbounded"),
+    }
+    got = {k: SymbolSeq.from_measure(MeasureSpec(a, d)).widom_class() for k, (a, d, _) in densities.items()}
+    assert got == {k: want for k, (_, _, want) in densities.items()}
     assert SymbolSeq.randomized(SymbolSeq.powerlog(1.0, 1.0), DistTag("rademacher"), seed=3).widom_class() is None
     ladder = {(a, b): SymbolSeq.powerlog(a, b).widom_class() for a, b in
               [(0.9, 3.0), (1.0, 0.5), (1.0, 1.0), (1.0, 1.5), (1.1, -1.0)]}
@@ -252,9 +272,14 @@ def test_alpha_one_lower_ends_do_not_rise(beta, weight):
 
 
 def test_moments_tail_uncertified_with_density():
-    s = SymbolSeq.from_measure(MeasureSpec.lebesgue())
-    b = s.tail_remainder(100, "widom")
-    assert not b.certified and not b.divergent
+    # Lebesgue moments behave like powerlog(1, 0), whose tail diverges; a
+    # gamma = 0, delta = 0.75 density has an unbounded class but a finite tail
+    for weight in ("widom", "membership"):
+        b = SymbolSeq.from_measure(MeasureSpec.lebesgue()).tail_remainder(100, weight)
+        assert not b.certified and b.divergent
+        for density in ({"c": 1.0, "gamma": 3.0}, {"c": 1.0, "gamma": 0.0, "delta": 0.75}):
+            b = SymbolSeq.from_measure(MeasureSpec(densities=[density])).tail_remainder(100, weight)
+            assert not b.certified and not b.divergent
 
 
 def test_lacunary_rule_tail_divergence():
