@@ -85,8 +85,6 @@ def power_iteration(m, v0, tol, max_iter):
     successive Rayleigh quotients rho = ||m v||^2 differ relatively by < tol.
     """
     m = np.ascontiguousarray(m)
-    if m.ndim != 2:
-        raise ValueError("power_iteration expects a 2-D array")
     if not m.any():
         return 0.0, True, 0
     v = v0.astype(m.dtype)

@@ -66,8 +66,9 @@ def normals(seed: int, stream: int, index) -> np.ndarray:
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
 
-def unit_start_vector(n: int, seed: int = 0x5EED, stream: int = 0) -> np.ndarray:
-    """Deterministic pseudo-random unit vector used to start power iterations."""
+def unit_start_vector(n: int) -> np.ndarray:
+    """Deterministic pseudo-random unit vector that starts every singular-value
+    solve: seed 0x1D5EED, stream 0."""
     # no entry is 0: uniforms are (k + 1/2) 2^-53, never exactly 1/2
-    v = 2.0 * uniforms(seed, stream, np.arange(n)) - 1.0
+    v = 2.0 * uniforms(0x1D5EED, 0, np.arange(n)) - 1.0
     return v / np.sqrt(np.sum(v * v))

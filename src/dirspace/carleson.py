@@ -18,8 +18,10 @@ factor of b' and w the disk (or annulus) power moments, G = T^T diag(w)
 conj(T), so the norm is sigma_max(F)^2 for the (n + len c) x (n + 1) factor
 F = diag(sqrt w) conj(T) D^(-1/2).  A product with F is one convolution with
 conj(c) and a product with F^H one correlation with c (each one FFT product
-past _accel._DIRECT_MAX_DIM), and Golub-Kahan-Lanczos finds sigma_max.
-``symbol_gram`` assembles G densely, as the reference for the exact entries.
+past _accel._DIRECT_MAX_DIM), and Golub-Kahan-Lanczos finds sigma_max.  F
+is built from c scaled by a power of two, which it carries as its exponent
+for ``top_singular_value`` to scale sigma back.  ``symbol_gram`` assembles G
+densely, as the reference for the exact entries.
 """
 
 from __future__ import annotations
@@ -82,9 +84,7 @@ def _carleson_solve(b: TaylorPoly, n: int, delta: float | None = None) -> tuple[
     c is scaled exactly by a power of two to a largest modulus in [1/2, 1), so
     the solve neither underflows nor overflows; b' = 0 gives exactly 0.0.
     """
-    c, shift = _binary_normalized(_derivative_coeffs(b))
-    if shift is None:
-        return 0.0, True
+    c, exponent = _binary_normalized(_derivative_coeffs(b))
     rows = n + c.shape[0]
     root_w = np.sqrt(_disk_power_weights(rows, delta))
     root_d_inv = 1.0 / np.sqrt(weight_sequence("dirichlet-exact", n))
@@ -95,9 +95,10 @@ def _carleson_solve(b: TaylorPoly, n: int, delta: float | None = None) -> tuple[
         lambda y: root_d_inv * corr(root_w * y),
         (rows, n + 1),
         c.dtype,
+        exponent,
     )
     sigma, converged = top_singular_value(factor, tol=1e-12)
-    return float(np.ldexp(sigma * sigma, 2 * shift)), converged
+    return sigma * sigma, converged
 
 
 def finite_test_carleson_norm(b: TaylorPoly, n: int) -> float:

@@ -278,6 +278,10 @@ def _curve(label: str, rows, meta=None) -> dict:
     }
 
 
+def _verdict(report: criteria.ClassReport) -> dict:
+    return {"verdict": report.verdict, "applicability": report.applicability, "notes": report.notes}
+
+
 def _profile_rows(profile):
     return [
         [p.m, p.lower, p.midpoint if np.isfinite(p.upper) else p.lower, p.upper]
@@ -314,12 +318,7 @@ def _run_classify(cfg: dict) -> tuple[dict, list]:
     else:
         report = criteria.classify(sym, kind, ccfg)
         curves = [_curve("widom_profile", _profile_rows(report.profile), {"nmax": ccfg.nmax})]
-    results = {
-        "verdict": report.verdict,
-        "applicability": report.applicability,
-        "notes": report.notes,
-    }
-    return results, curves
+    return _verdict(report), curves
 
 
 def _run_sections(cfg: dict) -> tuple[dict, list]:
@@ -414,12 +413,7 @@ def _run_carleson(cfg: dict) -> tuple[dict, list]:
         _curve("xnorm_vs_degree", _profile_rows(report.profile)),
         _curve("restricted_vs_delta", restr_rows, {"n": n_top}),
     ]
-    results = {
-        "verdict": report.verdict,
-        "applicability": report.applicability,
-        "notes": report.notes,
-    }
-    return results, curves
+    return _verdict(report), curves
 
 
 def _run_random_sim(cfg: dict) -> tuple[dict, list]:
@@ -523,10 +517,10 @@ def serialize(report: dict, fmt: str) -> dict[str, bytes]:
     json: a single document. csv: one file per curve with header
     (x, lower, mid, upper), plus report.json for the scalar payload.
     """
-    if fmt == "json":
-        return {"report.json": json.dumps(report, indent=2, sort_keys=True).encode() + b"\n"}
+    if fmt not in ("json", "csv"):
+        raise ConfigError("format", f"unknown format {fmt!r}; expected 'json' or 'csv'")
+    out = {}
     if fmt == "csv":
-        out = {}
         for curve in report.get("curves", []):
             buf = io.StringIO()
             writer = csv.writer(buf, lineterminator="\n")
@@ -534,9 +528,8 @@ def serialize(report: dict, fmt: str) -> dict[str, bytes]:
             for row in curve["rows"]:
                 writer.writerow([repr(v) for v in row])
             out[f"{curve['label']}.csv"] = buf.getvalue().encode()
-        out["report.json"] = json.dumps(report, indent=2, sort_keys=True).encode() + b"\n"
-        return out
-    raise ConfigError("format", f"unknown format {fmt!r}; expected 'json' or 'csv'")
+    out["report.json"] = json.dumps(report, indent=2, sort_keys=True).encode() + b"\n"
+    return out
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -125,25 +125,19 @@ def normalized_kernel_coeffs(t: float, degree: int) -> tuple[TaylorPoly, float]:
     norm_sq = 1.0 + np.log1p(t * t / (1.0 - t * t))
     scale = 1.0 / np.sqrt(norm_sq)
     base = kernel_coeffs(t, degree)
-    if t == 0.0:
-        tail = 0.0
-    else:
-        tail = t ** (2 * degree + 2) / ((degree + 1) * (1.0 - t * t))
-    return TaylorPoly(base.coeffs * scale), float(tail)
+    return TaylorPoly(base.coeffs * scale), _kernel_tail_bound(t, degree)
 
 
 def _kernel_tail_bound(t: float, degree: int) -> float:
-    log_b = (2 * degree + 2) * np.log(t) - np.log((degree + 1) * (1.0 - t * t))
-    return float(np.exp(log_b))
+    """t^(2N+2) / ((N+1)(1-t^2)) for N = degree; decreasing in N."""
+    return float(t ** (2 * degree + 2) / ((degree + 1) * (1.0 - t * t)))
 
 
 def kernel_degree_for_tail(t: float, tol: float, max_degree: int = 10**7) -> int:
     """Smallest truncation degree whose normalized-kernel tail bound is < tol."""
     if not 0.0 <= t < 1.0:
         raise ValueError("kernel parameter must satisfy 0 <= t < 1")
-    if t == 0.0:
-        return 0
-    # the bound t^(2N+2)/((N+1)(1-t^2)) is strictly decreasing in N
+    # the bound is nonincreasing in N: double past it, then bisect
     hi = 1
     while _kernel_tail_bound(t, hi) >= tol:
         hi *= 2

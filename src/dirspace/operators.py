@@ -19,6 +19,12 @@ Golub-Kahan-Lanczos bidiagonalization finds the top singular value in O(n)
 memory.  ``section_matrix`` is the dense view.  ``top_singular_value`` takes
 either a dense array (power iteration) or a matrix-free ``LinearMap``
 (Golub-Kahan-Lanczos), as the Carleson route's Gram factor is.
+
+Every solve runs on data scaled exactly by a power of two to a largest
+modulus in [1/2, 1), so squared norms neither underflow nor overflow.
+``top_singular_value`` scales a dense array itself; the builder of a
+``LinearMap`` scales its data and records the power of two in ``exponent``.
+``top_singular_value`` alone scales sigma back.
 """
 
 from __future__ import annotations
@@ -32,9 +38,6 @@ from .coeffspace import TaylorPoly
 from .symbols import SymbolSeq
 
 SECTION_TAGS = ("dirichlet-section", "bergman")
-
-#: deterministic seed for power-iteration and Golub-Kahan start vectors
-_POWER_SEED = 0x1D5EED
 
 
 def hankel_apply(s: SymbolSeq, f: TaylorPoly, n_out: int) -> TaylorPoly:
@@ -82,99 +85,90 @@ def default_max_iter(n: int) -> int:
 
 
 class LinearMap(NamedTuple):
-    """A matrix-free operator: matvec(x) = A x, rmatvec(y) = A^H y, with A of
-    the given (rows, cols) shape and dtype."""
+    """A matrix-free operator 2^exponent A: matvec(x) = A x, rmatvec(y) = A^H y,
+    with A of the given (rows, cols) shape and dtype."""
 
     matvec: Callable
     rmatvec: Callable
     shape: tuple
     dtype: np.dtype
+    exponent: int = 0
 
 
 def top_singular_value(m, tol: float = 1e-10, max_iter: int | None = None):
     """Largest singular value of a dense array or a LinearMap.
 
     A dense array (2-D, both dimensions >= 1) is scaled exactly by a power of
-    two to a largest modulus in [1/2, 1), so squared norms neither underflow
-    nor overflow, and solved by power iteration on v -> M^H (M v) for at most
-    max_iter iterations (default_max_iter of its row count); converged means
-    successive Rayleigh quotients agree to tol.  A LinearMap goes to
-    Golub-Kahan-Lanczos bidiagonalization for at most max_iter steps (default
-    default_max_iter of its smaller dimension); converged means the Ritz
-    residual is <= tol * sigma.  The caller scales a LinearMap.  The start
-    vector is a fixed seeded pseudo-random unit vector, so results are
-    reproducible.  Returns (sigma, converged); sigma is a lower estimate when
-    converged is False.
+    two to a largest modulus in [1/2, 1) and solved by power iteration on
+    v -> M^H (M v) for at most max_iter iterations (default_max_iter of its
+    row count); converged means successive Rayleigh quotients agree to tol.
+    A LinearMap, scaled by its builder, goes to Golub-Kahan-Lanczos
+    bidiagonalization for at most max_iter steps (default default_max_iter
+    of its smaller dimension); converged means the Ritz residual is
+    <= tol * sigma.  Either way sigma is scaled back here, by 2^exponent.  The
+    start vector is a fixed seeded pseudo-random unit vector, so results are
+    reproducible.  The zero operator gives exactly 0.0.  Returns
+    (sigma, converged); sigma is a lower estimate when converged is False.
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
     if max_iter is not None and max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     if isinstance(m, LinearMap):
-        v0 = _rng.unit_start_vector(m.shape[1], seed=_POWER_SEED).astype(m.dtype)
+        v0 = _rng.unit_start_vector(m.shape[1]).astype(m.dtype)
         max_steps = max_iter or default_max_iter(min(m.shape))
         sigma, converged, _, _ = _accel.golub_kahan(m.matvec, m.rmatvec, v0, tol, max_steps)
-        return sigma, converged
-    arr = np.asarray(m)
-    if arr.ndim != 2 or 0 in arr.shape:
-        raise ValueError(f"need a 2-D matrix with both dimensions >= 1, got shape {arr.shape}")
-    arr, shift = _binary_normalized(arr)
-    if shift is None:
-        return 0.0, True
-    if max_iter is None:
-        max_iter = default_max_iter(arr.shape[0])
-    for restart in range(3):
-        v0 = _rng.unit_start_vector(arr.shape[1], seed=_POWER_SEED, stream=restart)
-        sigma, converged, _ = _accel.power_iteration(arr, v0, tol, max_iter)
-        if sigma > 0.0:
-            break
-    return float(np.ldexp(sigma, shift)), converged
+        exponent = m.exponent
+    else:
+        arr = np.asarray(m)
+        if arr.ndim != 2 or 0 in arr.shape:
+            raise ValueError(f"need a 2-D matrix with both dimensions >= 1, got shape {arr.shape}")
+        arr, exponent = _binary_normalized(arr)
+        v0 = _rng.unit_start_vector(arr.shape[1])
+        sigma, converged, _ = _accel.power_iteration(arr, v0, tol, max_iter or default_max_iter(arr.shape[0]))
+    return float(np.ldexp(sigma, exponent)), converged
 
 
-def _tail_operator(s: SymbolSeq, kind: str, m: int, n: int):
-    """(matvec, rmatvec, dtype, shift): the dirichlet-section restricted to rows
-    and cols m..n-1, M[j, k] = sqrt(j+1) T[j, k] / sqrt(k+1), is 2^shift times
-    the operator returned, built from the symbol slice alone.  The slice is
-    scaled by a power of two to a largest modulus in [1/2, 1), exactly, so
-    the solve neither underflows nor overflows; shift is None when the slice
-    vanishes."""
+def _tail_operator(s: SymbolSeq, kind: str, m: int, n: int) -> LinearMap:
+    """The dirichlet-section restricted to rows and cols m..n-1,
+    M[j, k] = sqrt(j+1) T[j, k] / sqrt(k+1), built from the symbol slice
+    alone, which is scaled by a power of two (the map's exponent)."""
     sq, inv = _sqrt_weights(n)
     sq, inv = sq[m:], inv[m:]
-    p = n - m
+    shape = (n - m, n - m)
     if kind == "hankel":
         # H z with H[j, k] = lambda_{2m+j+k}, the valid convolution of the
         # slice with z reversed; H is symmetric, so M^H y = inv * conj(H (sq * conj y))
-        sym, shift = _binary_normalized(s.values(np.arange(2 * m, 2 * n - 1)))
-        conv = _accel.convolution(sym, p, "valid")
-        return (
-            (lambda x: sq * conv((inv * x)[::-1])),
-            (lambda y: inv * np.conj(conv((sq * np.conj(y))[::-1]))),
+        sym, exponent = _binary_normalized(s.values(np.arange(2 * m, 2 * n - 1)))
+        conv = _accel.convolution(sym, n - m, "valid")
+        return LinearMap(
+            lambda x: sq * conv((inv * x)[::-1]),
+            lambda y: inv * np.conj(conv((sq * np.conj(y))[::-1])),
+            shape,
             sym.dtype,
-            shift,
+            exponent,
         )
     if kind == "cesaro":
         # lower-triangular M[j, k] = a_j inv_k (k <= j) with a = sq * eta
-        eta, shift = _binary_normalized(s.values(np.arange(m, n)))
+        eta, exponent = _binary_normalized(s.values(np.arange(m, n)))
         a = sq * eta
         a_conj = np.conj(a)
-        return (
-            (lambda x: a * np.cumsum(inv * x)),
-            (lambda y: inv * np.cumsum((a_conj * y)[::-1])[::-1]),
+        return LinearMap(
+            lambda x: a * np.cumsum(inv * x),
+            lambda y: inv * np.cumsum((a_conj * y)[::-1])[::-1],
+            shape,
             a.dtype,
-            shift,
+            exponent,
         )
     raise ValueError(f"unknown section kind {kind!r}")
 
 
 def _binary_normalized(values: np.ndarray):
-    """(values * 2^-shift, shift) in double precision, with the largest modulus
-    scaled into [1/2, 1); (values, None) when every value is 0."""
-    top = np.max(np.abs(values))
-    if top == 0.0:
-        return values, None
-    shift = int(np.frexp(top)[1])
+    """(values * 2^-exponent, exponent) in double precision, with the largest
+    modulus scaled into [1/2, 1); exponent is 0 when every value is 0."""
+    exponent = int(np.frexp(np.max(np.abs(values)))[1])
     values = np.ascontiguousarray(values, dtype=np.result_type(values.dtype, np.float64))
-    return np.ldexp(values.view(np.float64), -shift).view(values.dtype), shift
+    return np.ldexp(values.view(np.float64), -exponent).view(values.dtype), exponent
 
 
 def tail_section_norm(
@@ -195,15 +189,7 @@ def tail_section_norm(
     """
     if not 0 <= m < n:
         raise ValueError("need 0 <= m < n")
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
-    if max_iter is not None and max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    matvec, rmatvec, dtype, shift = _tail_operator(s, kind, m, n)
-    if shift is None:
-        return 0.0
-    sigma, _ = top_singular_value(LinearMap(matvec, rmatvec, (n - m, n - m), dtype), tol, max_iter)
-    return float(np.ldexp(sigma, shift))
+    return top_singular_value(_tail_operator(s, kind, m, n), tol, max_iter)[0]
 
 
 def cesaro_rkt_norm(s: SymbolSeq, t: float, n: int) -> float:

@@ -359,14 +359,14 @@ def test_structured_operator_matches_dense_section(case, fft):
     with pytest.MonkeyPatch.context() as patch:
         if fft:  # the FFT Hankel product, which otherwise runs only past 512
             patch.setattr(_accel, "_DIRECT_MAX_DIM", 0)
-        matvec, rmatvec, dtype, shift = operators._tail_operator(sym, kind, m, n)
+        op = operators._tail_operator(sym, kind, m, n)
     x = seeded_uniforms(17, n, n - m) - 0.5
-    if np.issubdtype(dtype, np.complexfloating):
+    if np.issubdtype(op.dtype, np.complexfloating):
         x = x + 1j * (seeded_uniforms(18, n, n - m) - 0.5)
-    scale = 0.0 if shift is None else 2.0**shift
+    scale = 2.0**op.exponent
     bound = 1e-13 * np.linalg.norm(dense) * np.linalg.norm(x)
-    assert np.linalg.norm(scale * matvec(x) - dense @ x) <= bound
-    assert np.linalg.norm(scale * rmatvec(x) - dense.conj().T @ x) <= bound
+    assert np.linalg.norm(scale * op.matvec(x) - dense @ x) <= bound
+    assert np.linalg.norm(scale * op.rmatvec(x) - dense.conj().T @ x) <= bound
 
 
 def _assert_matches_lapack(got, dense):
@@ -391,12 +391,23 @@ def test_random_sim_replica_matches_lapack(replica):
     _assert_matches_lapack(tail_section_norm(sym, "hankel", m, n), _dense_tail(sym, "hankel", m, n))
 
 
-@pytest.mark.parametrize("value", [4.9e-222, 5e-324j, -1e300, 1e300 - 1e300j, -3.0 + 4.0j])
+@pytest.mark.parametrize("value", [4.9e-222, 5e-324j, -1e300, 1e300 - 1e300j, -3.0 + 4.0j, 0.0])
 def test_tail_section_norm_of_tiny_and_huge_symbols(value):
     # one nonzero entry, at (0, 0): squared norms of such vectors under- or
-    # overflow unless the operator is scaled first
-    assert tail_section_norm(SymbolSeq.explicit([value]), "hankel", 0, 4) == pytest.approx(abs(value), rel=1e-14)
-    assert tail_section_norm(SymbolSeq.explicit([value]), "cesaro", 0, 4) == pytest.approx(abs(value), rel=1e-14)
+    # overflow unless the operator is scaled first; the zero symbol gives 0.0
+    for kind in ("hankel", "cesaro"):
+        sigma = tail_section_norm(SymbolSeq.explicit([value]), kind, 0, 4)
+        if value == 0.0:
+            assert sigma == 0.0
+        else:
+            assert sigma == pytest.approx(abs(value), rel=1e-14)
+
+
+@pytest.mark.parametrize("kind", ["hankel", "cesaro"])
+def test_tail_section_norm_of_a_slice_off_the_support(kind):
+    # no support point in the slice (indices 80..118 for the Hankel section,
+    # 40..59 for the Cesaro one): the tail is the zero operator
+    assert tail_section_norm(SymbolSeq.lacunary([1, 64], [1.0, 1.0]), kind, 40, 60) == 0.0
 
 
 def test_tail_section_norm_in_linear_memory():
