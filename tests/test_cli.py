@@ -1,8 +1,5 @@
 import copy
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +8,7 @@ from dirspace import checks, cli
 from dirspace.measures import Density, MeasureSpec
 from dirspace.stochastic import DistTag
 from dirspace.symbols import SymbolSeq
-
-JOBS = Path(__file__).resolve().parent.parent / "perfbench" / "jobs.py"
+from golden_reports import benchmark_jobs
 
 
 def run_config(config):
@@ -214,23 +210,10 @@ def test_measure_describe_roundtrip():
     assert named.moment(9) == pytest.approx(0.1)
 
 
-def _benchmark_jobs():
-    spec = importlib.util.spec_from_file_location("perfbench_jobs", JOBS)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up there
-    spec.loader.exec_module(module)
-    for workload in module.WORKLOADS:
-        for seed in (101, 102):
-            wl = module.generate(workload, seed)
-            for kind, jobs in (("warmup", wl.warmup), ("job", wl.jobs)):
-                for i, job in enumerate(jobs):
-                    yield f"{workload}-{seed}-{kind}{i}", job
-
-
 def test_benchmark_jobs_parse():
     # every job and warm-up of the benchmark workloads passes the config parser
     parsed = 0
-    for name, job in _benchmark_jobs():
+    for name, job in [*benchmark_jobs(101), *benchmark_jobs(102)]:
         if "symbol" in job:
             assert isinstance(cli._parse_symbol(job["symbol"]), SymbolSeq), name
             parsed += 1
