@@ -2,44 +2,40 @@
 
 Every variate is a pure function of (seed, stream, index, slot), so sample n
 of a sequence does not depend on how many samples were drawn before it or on
-the truncation length.  The generator is a SplitMix64-style finalizer over a
-keyed counter; it is reproducible bit-for-bit across platforms and numpy
-versions (only uint64 arithmetic is used).
+the truncation length.  The generator is a SplitMix64 finalizer over a keyed
+counter.  The key of a (seed, stream) pair is computed on Python ints masked
+to 64 bits, the words on uint64 arrays, so streams are reproducible
+bit-for-bit across platforms and numpy versions.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
-_SLOT = np.uint64(0xD6E8FEB86659FD93)
+_MASK = 2**64 - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_SLOT = 0xD6E8FEB86659FD93
 _TWO53_INV = 1.0 / 9007199254740992.0  # 2^-53
 
 
 def _finalize(x):
-    """SplitMix64 finalizer (vectorized over uint64 arrays)."""
-    x = (x + _GOLDEN).astype(np.uint64) if isinstance(x, np.ndarray) else np.uint64(x + _GOLDEN)
-    x ^= x >> np.uint64(30)
-    x *= _MIX1
-    x ^= x >> np.uint64(27)
-    x *= _MIX2
-    x ^= x >> np.uint64(31)
-    return x
-
-
-def _key(seed: int, stream: int) -> np.uint64:
-    s = _finalize(np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
-    return _finalize(s ^ np.uint64(stream & 0xFFFFFFFFFFFFFFFF))
+    """SplitMix64 finalizer of a Python int in [0, 2^64) or a uint64 array."""
+    x = (x + _GOLDEN) & _MASK
+    x ^= x >> 30
+    x = (x * _MIX1) & _MASK
+    x ^= x >> 27
+    x = (x * _MIX2) & _MASK
+    return x ^ (x >> 31)
 
 
 def raw_bits(seed: int, stream: int, index, slot: int = 0) -> np.ndarray:
     """uint64 words keyed by (seed, stream, index, slot); index may be an array."""
+    key = _finalize(_finalize(seed & _MASK) ^ (stream & _MASK))
     idx = np.asarray(index, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        x = _key(seed, stream) + idx * _GOLDEN + np.uint64(slot) * _SLOT
-        return _finalize(x)
+    with np.errstate(over="ignore"):  # uint64 scalars (0-d index) warn on wrap-around
+        return _finalize(idx * np.uint64(_GOLDEN) + np.uint64((key + slot * _SLOT) & _MASK))
 
 
 def uniforms(seed: int, stream: int, index, slot: int = 0) -> np.ndarray:
