@@ -278,6 +278,11 @@ def _curve(label: str, rows, meta=None) -> dict:
     }
 
 
+def _point_curve(label: str, xs, values, meta=None) -> dict:
+    """A curve of point estimates: the row of x is [x, v, v, v]."""
+    return _curve(label, ([x, v, v, v] for x, v in zip(xs, values)), meta)
+
+
 def _verdict(report: criteria.ClassReport) -> dict:
     return {"verdict": report.verdict, "applicability": report.applicability, "notes": report.notes}
 
@@ -330,21 +335,15 @@ def _run_sections(cfg: dict) -> tuple[dict, list]:
     m_grid = cfg.get("m_grid")
     if m_grid is not None:
         m_grid = _cutoff_grid(m_grid, n_top)
-    norm_rows = []
-    for n in n_grid:
-        sigma = operators.tail_section_norm(sym, kind, 0, n, **power)
-        norm_rows.append([n, sigma, sigma, sigma])
-    curves = [_curve("section_norm_vs_n", norm_rows, {"weight": "dirichlet-section"})]
+    norms = [operators.tail_section_norm(sym, kind, 0, n, **power) for n in n_grid]
+    curves = [_point_curve("section_norm_vs_n", n_grid, norms, {"weight": "dirichlet-section"})]
     if m_grid is not None:
-        tail_rows = []
-        for m in m_grid:
-            t = operators.tail_section_norm(sym, kind, m, n_top, **power)
-            tail_rows.append([m, t, t, t])
-        curves.append(_curve("tail_norm_vs_m", tail_rows, {"n": n_top}))
+        tails = [operators.tail_section_norm(sym, kind, m, n_top, **power) for m in m_grid]
+        curves.append(_point_curve("tail_norm_vs_m", m_grid, tails, {"n": n_top}))
     results = {
-        "top_section_norm": norm_rows[-1][2],
+        "top_section_norm": norms[-1],
         "n": n_top,
-        "exact_weight_interval": list(operators.exact_norm_interval(norm_rows[-1][2])),
+        "exact_weight_interval": list(operators.exact_norm_interval(norms[-1])),
     }
     return results, curves
 
@@ -357,19 +356,13 @@ def _run_rkt(cfg: dict) -> tuple[dict, list]:
         raise ConfigError("t_grid", "kernel points must lie in [0, 1)")
     n = _as_int(cfg.get("n", 256), "n", low=0)
     probe = criteria.rkt_probe(sym, kind, t_grid, n)
-    est_rows = [[r.t, r.estimate, r.estimate, r.estimate] for r in probe.rows]
-    tail_rows = [[r.t, r.kernel_tail, r.kernel_tail, r.kernel_tail] for r in probe.rows]
+    ts = [r.t for r in probe.rows]
     curves = [
-        _curve("rkt_estimate_vs_t", est_rows, {"n": n}),
-        _curve("kernel_tail_bound_vs_t", tail_rows, {"n": n}),
+        _point_curve("rkt_estimate_vs_t", ts, [r.estimate for r in probe.rows], {"n": n}),
+        _point_curve("kernel_tail_bound_vs_t", ts, [r.kernel_tail for r in probe.rows], {"n": n}),
     ]
     if kind == "cesaro":
-        curves.append(
-            _curve(
-                "rkt_closed_form_vs_t",
-                [[r.t, r.closed_form, r.closed_form, r.closed_form] for r in probe.rows],
-            )
-        )
+        curves.append(_point_curve("rkt_closed_form_vs_t", ts, [r.closed_form for r in probe.rows]))
     return {"statistic": probe.statistic, "notes": probe.notes}, curves
 
 
@@ -378,11 +371,9 @@ def _run_moments(cfg: dict) -> tuple[dict, list]:
     n = _as_int(cfg.get("n", 64), "n", low=0)
     ccfg = _parse_classify_cfg(cfg)
     sym = symbols.SymbolSeq.from_measure(spec)
-    mom = sym.values(np.arange(n + 1))
-    mom_rows = [[i, m, m, m] for i, m in enumerate(mom.real)]
     profile = criteria.widom_profile(sym, ccfg.m_grid, ccfg.nmax)
     curves = [
-        _curve("moments_vs_n", mom_rows),
+        _point_curve("moments_vs_n", range(n + 1), sym.values(np.arange(n + 1)).real),
         _curve("widom_profile", _profile_rows(profile), {"nmax": ccfg.nmax}),
     ]
     return {"total_mass": spec.total_mass, "support_sup": spec.support_sup}, curves
@@ -402,16 +393,15 @@ def _run_carleson(cfg: dict) -> tuple[dict, list]:
     b_top = carleson.symbol_poly(sym, n_top)
     # the verdict's profile is the x-norm sweep, so each x-norm is solved once
     report = carleson.classify_hankel_general(b_top, n_grid)
-    restr_rows = []
-    for delta in delta_grid:
-        if delta == carleson.VANISH_DELTA and report.restricted_norm is not None:
-            r = report.restricted_norm  # the verdict's boundary test, same solve
-        else:
-            r = carleson.restricted_carleson_norm(b_top, n_top, delta)
-        restr_rows.append([delta, r, r, r])
+    restricted = [
+        report.restricted_norm  # the verdict's boundary test, same solve
+        if delta == carleson.VANISH_DELTA and report.restricted_norm is not None
+        else carleson.restricted_carleson_norm(b_top, n_top, delta)
+        for delta in delta_grid
+    ]
     curves = [
         _curve("xnorm_vs_degree", _profile_rows(report.profile)),
-        _curve("restricted_vs_delta", restr_rows, {"n": n_top}),
+        _point_curve("restricted_vs_delta", delta_grid, restricted, {"n": n_top}),
     ]
     return _verdict(report), curves
 
@@ -426,10 +416,9 @@ def _run_random_sim(cfg: dict) -> tuple[dict, list]:
     power = _parse_power(cfg)
     report = stochastic.random_tail_experiment(sym, dist, replicas, m_grid, n, rng, **power)
     rand_rows = [[row.m, row.q25, row.median, row.q75] for row in report.rows]
-    det_rows = [[row.m, row.deterministic, row.deterministic, row.deterministic] for row in report.rows]
     curves = [
         _curve("randomized_tail_quartiles", rand_rows, {"n": n, "replicas": replicas, "seed": rng.seed}),
-        _curve("deterministic_tail", det_rows, {"n": n}),
+        _point_curve("deterministic_tail", m_grid, [row.deterministic for row in report.rows], {"n": n}),
     ]
     results = {
         "membership": {
@@ -451,10 +440,9 @@ def _run_doublesum(cfg: dict) -> tuple[dict, list]:
     count = _as_int(cfg.get("count", 1000), "count", low=1)
     max_len = _as_int(cfg.get("max_len", 512), "max_len", low=2)
     ratios = checks.double_sum_battery(rng.seed, rng.seed ^ 0xA5A5, rng.stream, count, max_len)
-    rows = [[i, ratio, ratio, ratio] for i, ratio in enumerate(ratios)]
     max_ratio = max(ratios)
     argmax = ratios.index(max_ratio)
-    curves = [_curve("double_sum_ratio_per_vector", rows, {"seed": rng.seed})]
+    curves = [_point_curve("double_sum_ratio_per_vector", range(len(ratios)), ratios, {"seed": rng.seed})]
     return {"max_ratio": max_ratio, "argmax_vector": argmax, "seed": rng.seed}, curves
 
 
