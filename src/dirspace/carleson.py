@@ -32,6 +32,7 @@ from . import _accel
 from .coeffspace import TaylorPoly, weight_sequence
 from .criteria import ClassReport, WidomTail
 from .operators import LinearMap, _binary_normalized, top_singular_value
+from .symbols import _real_or_complex
 
 # the x-norm of a borderline-unbounded symbol grows additively in log N,
 # so consecutive-doubling ratios tend to 1; growth is judged over the
@@ -65,8 +66,7 @@ def symbol_poly(s, degree: int) -> TaylorPoly:
 
 def _derivative_coeffs(b: TaylorPoly) -> np.ndarray:
     """Taylor coefficients c of b', real when b is."""
-    c = b.derivative().coeffs
-    return np.ascontiguousarray(c.real) if np.all(c.imag == 0.0) else c
+    return _real_or_complex(b.derivative().coeffs)
 
 
 def symbol_gram(b: TaylorPoly, n: int, delta: float | None = None) -> np.ndarray:

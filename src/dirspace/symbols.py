@@ -58,6 +58,15 @@ class WidomTail:
         return np.isfinite(self.upper)
 
 
+def _real_or_complex(values) -> np.ndarray:
+    """A copy of values as float64 when every imaginary part is 0, otherwise
+    as complex128."""
+    arr = np.asarray(values)
+    if np.iscomplexobj(arr) and np.any(arr.imag != 0.0):
+        return arr.astype(np.complex128)
+    return arr.real.astype(np.float64)
+
+
 def _weight_values(weight: str, n: np.ndarray) -> np.ndarray:
     if weight == "widom":
         return n.astype(np.float64)
@@ -84,14 +93,8 @@ class SymbolSeq:
 
     @classmethod
     def explicit(cls, values) -> "SymbolSeq":
-        arr = np.atleast_1d(np.asarray(values))
-        if np.iscomplexobj(arr) and np.any(arr.imag != 0.0):
-            arr = arr.astype(np.complex128)
-            real = False
-        else:
-            arr = arr.real.astype(np.float64)
-            real = True
-        if real and arr.size and np.all(arr >= 0.0) and np.all(np.diff(arr) <= 0.0):
+        arr = _real_or_complex(np.atleast_1d(values))
+        if arr.dtype == np.float64 and arr.size and np.all(arr >= 0.0) and np.all(np.diff(arr) <= 0.0):
             flag = MONOTONE_DECREASING
         else:
             flag = MONOTONE_GENERAL
@@ -126,11 +129,7 @@ class SymbolSeq:
         q = _lacunary_ratio(support) if ratio is None else float(ratio)
         if support.size >= 2 and q <= 1.0:
             raise ValueError("lacunary support must have ratio q > 1")
-        if np.iscomplexobj(vals) and np.any(vals.imag != 0.0):
-            vals = vals.astype(np.complex128)
-        else:
-            vals = vals.real.astype(np.float64)
-        return cls("lacunary", {"support": support, "values": vals, "q": q}, MONOTONE_GENERAL)
+        return cls("lacunary", {"support": support, "values": _real_or_complex(vals), "q": q}, MONOTONE_GENERAL)
 
     @classmethod
     def lacunary_rule(
@@ -233,7 +232,7 @@ class SymbolSeq:
         if self.kind == "moments":
             return _moments_tail(self.params["measure"], nmax, weight)
         if self.kind == "lacunary":
-            return self._lacunary_rule_tail(nmax, weight)
+            return self._lacunary_rule_tail(nmax)
         # randomized and other kinds: not certified
         return WidomTail(nmax + 1, 0.0, np.inf)
 
@@ -307,7 +306,9 @@ class SymbolSeq:
         ]
         return support, np.array(vals, dtype=np.float64)
 
-    def _lacunary_rule_tail(self, nmax: int, weight: str) -> WidomTail:
+    def _lacunary_rule_tail(self, nmax: int) -> WidomTail:
+        """A bracket of either weighted tail past nmax: the support starts at
+        1, so w(n) <= n + 1 <= 2 n covers both weights."""
         rule = self.params["rule"]
         rho, p, scale = rule["decay"], rule["power"], rule["scale"]
         q = self.params["q"]
