@@ -356,13 +356,12 @@ def _run_rkt(cfg: dict) -> tuple[dict, list]:
         raise ConfigError("t_grid", "kernel points must lie in [0, 1)")
     n = _as_int(cfg.get("n", 256), "n", low=0)
     probe = criteria.rkt_probe(sym, kind, t_grid, n)
-    ts = [r.t for r in probe.rows]
     curves = [
-        _point_curve("rkt_estimate_vs_t", ts, [r.estimate for r in probe.rows], {"n": n}),
-        _point_curve("kernel_tail_bound_vs_t", ts, [r.kernel_tail for r in probe.rows], {"n": n}),
+        _point_curve("rkt_estimate_vs_t", t_grid, [r.estimate for r in probe.rows], {"n": n}),
+        _point_curve("kernel_tail_bound_vs_t", t_grid, [r.kernel_tail for r in probe.rows], {"n": n}),
     ]
     if kind == "cesaro":
-        curves.append(_point_curve("rkt_closed_form_vs_t", ts, [r.closed_form for r in probe.rows]))
+        curves.append(_point_curve("rkt_closed_form_vs_t", t_grid, [r.closed_form for r in probe.rows]))
     return {"statistic": probe.statistic, "notes": probe.notes}, curves
 
 
