@@ -39,7 +39,13 @@ def raw_bits(seed: int, stream: int, index, slot: int = 0) -> np.ndarray:
 
 
 def uniforms(seed: int, stream: int, index, slot: int = 0) -> np.ndarray:
-    """Uniform doubles in the open interval (0, 1)."""
+    """Uniform doubles ((w >> 11) + 1/2)·2^-53 from the words w, in (0, 1].
+
+    From 1/2 up the + 1/2 is a rounding tie that goes to even, so two values
+    leave the half-integer grid: the 2^11 words with w >> 11 = 2^52 (2^63
+    among them) give exactly 1/2, and those with w >> 11 = 2^53 - 1
+    (2^64 - 1 among them) give exactly 1.0, each with probability 2^-53.
+    """
     bits = raw_bits(seed, stream, index, slot)
     return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * _TWO53_INV
 
@@ -51,7 +57,8 @@ def rademacher(seed: int, stream: int, index) -> np.ndarray:
 
 
 def uniform_symmetric(seed: int, stream: int, index) -> np.ndarray:
-    """Uniform on (-1, 1)."""
+    """2·uniforms - 1, uniform on (-1, 1]; exactly 0 and 1.0 each have
+    probability 2^-53 (see uniforms)."""
     return 2.0 * uniforms(seed, stream, index) - 1.0
 
 
@@ -65,6 +72,7 @@ def normals(seed: int, stream: int, index) -> np.ndarray:
 def unit_start_vector(n: int) -> np.ndarray:
     """Deterministic pseudo-random unit vector that starts every singular-value
     solve: seed 0x1D5EED, stream 0."""
-    # no entry is 0: uniforms are (k + 1/2) 2^-53, never exactly 1/2
+    # an entry is 0 only where the draw is exactly 1/2, which happens with
+    # probability 2^-53 (see uniforms); the first 2^20 entries have no zero
     v = 2.0 * uniforms(0x1D5EED, 0, np.arange(n)) - 1.0
     return v / np.sqrt(np.sum(v * v))

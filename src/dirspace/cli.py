@@ -503,6 +503,11 @@ def serialize(report: dict, fmt: str) -> dict[str, bytes]:
 
     json: a single document. csv: one file per curve with header
     (x, lower, mid, upper), plus report.json for the scalar payload.
+
+    report.json is one line with sorted keys and a trailing newline, written
+    by json's C encoder (indent would force its pure-Python one).  It keeps
+    the default ", " and ": " separators: perfbench's report digest strips
+    the text '"wall_time_s": <value>', colon and space included.
     """
     if fmt not in ("json", "csv"):
         raise ConfigError("format", f"unknown format {fmt!r}; expected 'json' or 'csv'")
@@ -515,7 +520,7 @@ def serialize(report: dict, fmt: str) -> dict[str, bytes]:
             for row in curve["rows"]:
                 writer.writerow([repr(v) for v in row])
             out[f"{curve['label']}.csv"] = buf.getvalue().encode()
-    out["report.json"] = json.dumps(report, indent=2, sort_keys=True).encode() + b"\n"
+    out["report.json"] = json.dumps(report, sort_keys=True).encode() + b"\n"
     return out
 
 

@@ -177,8 +177,7 @@ class SymbolSeq:
             return out
         if self.kind == "powerlog":
             p = self.params
-            n = idx.astype(np.float64)
-            return p["scale"] * (n + 1.0) ** (-p["alpha"]) * np.log(n + 2.0) ** (-p["beta"])
+            return p["scale"] * (idx + 1.0) ** (-p["alpha"]) * np.log(idx + 2.0) ** (-p["beta"])
         if self.kind == "moments":
             return self.params["measure"].moments(idx)
         if self.kind == "randomized":

@@ -25,17 +25,22 @@ from pathlib import Path
 from dirspace import cli
 
 HERE = Path(__file__).resolve().parent
-JOBS = HERE.parent / "perfbench" / "jobs.py"
 GOLDEN = HERE / "golden_reports.json"
 SEED = 101
 
 
-def benchmark_jobs(seed: int):
-    """(name, config) of every warm-up and pass job of the workloads at seed."""
-    spec = importlib.util.spec_from_file_location("perfbench_jobs", JOBS)
+def perfbench_module(name: str):
+    """perfbench/<name>.py, loaded by path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", HERE.parent / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
+    return module
+
+
+def benchmark_jobs(seed: int):
+    """(name, config) of every warm-up and pass job of the workloads at seed."""
+    module = perfbench_module("jobs")
     for workload in module.WORKLOADS:
         wl = module.generate(workload, seed)
         for kind, jobs in (("warmup", wl.warmup), ("job", wl.jobs)):

@@ -8,7 +8,7 @@ from dirspace import checks, cli
 from dirspace.measures import Density, MeasureSpec
 from dirspace.stochastic import DistTag
 from dirspace.symbols import SymbolSeq
-from golden_reports import benchmark_jobs
+from golden_reports import benchmark_jobs, perfbench_module
 
 
 def run_config(config):
@@ -449,6 +449,14 @@ def test_serialize_json_roundtrip():
     report = run_config({"command": "moments", "measure": {"named": "lebesgue"}, "n": 4})
     data = cli.serialize(report, "json")["report.json"]
     assert json.loads(data) == report
+
+    # the encoding perfbench relies on: one line, and a digest blind to the
+    # wall time, which its regex finds only with the ": " separator
+    assert data.endswith(b"\n") and data.count(b"\n") == 1
+    other = copy.deepcopy(report)
+    other["provenance"]["wall_time_s"] += 1.25
+    digest = perfbench_module("worker")._digest
+    assert digest(data) == digest(cli.serialize(other, "json")["report.json"])
 
 
 def test_serialize_csv_line_counts():

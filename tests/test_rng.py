@@ -63,3 +63,10 @@ def test_streams_match_reference_splitmix64(seed, stream, index, slot):
     assert signs.dtype == np.float64 and np.shape(signs) == np.shape(index)
     slot0 = [reference_word(seed, stream, i, 0) for i in indices]
     assert np.atleast_1d(signs).tolist() == [1.0 - 2.0 * (w >> 63) for w in slot0]
+
+
+def test_unit_start_vector_has_no_zero_entry():
+    # a zero entry would leave its coordinate out of every start vector
+    v = _rng.unit_start_vector(2**20)
+    assert np.count_nonzero(v == 0.0) == 0
+    assert abs(np.linalg.norm(v) - 1.0) < 1e-12
