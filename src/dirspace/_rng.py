@@ -41,8 +41,8 @@ def raw_bits(seed: int, stream: int, index, slot: int = 0) -> np.ndarray:
 def uniforms(seed: int, stream: int, index, slot: int = 0) -> np.ndarray:
     """Uniform doubles ((w >> 11) + 1/2)·2^-53 from the words w, in (0, 1].
 
-    From 1/2 up the + 1/2 is a rounding tie that goes to even, so two values
-    leave the half-integer grid: the 2^11 words with w >> 11 = 2^52 (2^63
+    From 1/2 up, (w >> 11) + 1/2 is a tie that rounds to even, so those
+    values are multiples of 2^-52.  The 2^11 words with w >> 11 = 2^52 (2^63
     among them) give exactly 1/2, and those with w >> 11 = 2^53 - 1
     (2^64 - 1 among them) give exactly 1.0, each with probability 2^-53.
     """
