@@ -46,10 +46,13 @@ increasing):
     preset      demo only; one of the twelve check names in checks.py
                 (e.g. "hilbert", "widom-ladder") or "all"
 
-Symbol, rule, {"re", "im"}, measure, atom and density objects, like classify
-and power, take only the fields listed.  An error names the nested path of
-its field (e.g. symbol.base.beta, symbol.measure.densities[0].gama), or of
-its object when a constructor rejects the value's range.
+Top-level fields are checked per command: a config holds only the fields
+its command reads, plus command and seed (--seed-override may set seed for
+any command).  Symbol, rule, {"re", "im"}, measure, atom and density
+objects, like classify and power, take only the fields listed.  An error
+names the nested path of its field (e.g. config.n_gird, symbol.base.beta,
+symbol.measure.densities[0].gama), or of its object when a constructor
+rejects the value's range.
 
 Every reported norm carries its section dimension; every tail carries its
 bracket; every stochastic value carries its seed.  Reports are byte-identical
@@ -69,9 +72,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, carleson, checks, criteria, measures, operators, stochastic, symbols
-
-COMMANDS = ("classify", "sections", "rkt", "moments", "carleson", "random-sim", "doublesum", "demo")
-
 
 class ConfigError(ValueError):
     """Invalid configuration; carries the offending field path."""
@@ -463,16 +463,18 @@ def _run_demo(cfg: dict) -> tuple[dict, list]:
     return {"checks": results, "all_pass": all(c["pass"] for c in results)}, []
 
 
+# each command's handler and the top-level fields it reads
 _HANDLERS = {
-    "classify": _run_classify,
-    "sections": _run_sections,
-    "rkt": _run_rkt,
-    "moments": _run_moments,
-    "carleson": _run_carleson,
-    "random-sim": _run_random_sim,
-    "doublesum": _run_doublesum,
-    "demo": _run_demo,
+    "classify": (_run_classify, ("symbol", "measure", "kind", "route", "classify", "n_grid")),
+    "sections": (_run_sections, ("symbol", "kind", "power", "n_grid", "m_grid")),
+    "rkt": (_run_rkt, ("symbol", "kind", "t_grid", "n")),
+    "moments": (_run_moments, ("measure", "n", "classify")),
+    "carleson": (_run_carleson, ("symbol", "n_grid", "delta_grid")),
+    "random-sim": (_run_random_sim, ("symbol", "dist", "normalized", "stream", "replicas", "n", "m_grid", "power")),
+    "doublesum": (_run_doublesum, ("stream", "count", "max_len")),
+    "demo": (_run_demo, ("preset",)),
 }
+COMMANDS = tuple(_HANDLERS)
 
 
 def run(config: dict) -> dict:
@@ -482,8 +484,11 @@ def run(config: dict) -> dict:
     command = _require(config, "command")
     if command not in COMMANDS:
         raise ConfigError("command", f"unknown command {command!r}; choose from {COMMANDS}")
+    handler, fields = _HANDLERS[command]
+    # seed is allowed everywhere: --seed-override sets it for any command
+    _fields(config, "config", ("command", "seed", *fields))
     start = time.perf_counter()
-    results, curves = _HANDLERS[command](config)
+    results, curves = handler(config)
     report = {
         "tool": {"name": "dirspace", "version": __version__},
         "command": command,

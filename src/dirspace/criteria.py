@@ -57,7 +57,6 @@ class ProbeRow:
 
 @dataclass
 class ProbeReport:
-    kind: str
     rows: list
     statistic: float  # sup of the estimates over the grid
     notes: list = field(default_factory=list)
@@ -147,7 +146,7 @@ def rkt_probe(s: SymbolSeq, kind: str, t_grid, n: int) -> ProbeReport:
             "(finite limit vs zero limit); values are reported, not resolved"
         )
     statistic = max((r.estimate for r in rows), default=0.0)
-    return ProbeReport(kind, rows, statistic, notes)
+    return ProbeReport(rows, statistic, notes)
 
 
 def double_sum_ratio(a) -> tuple[float, float, float]:

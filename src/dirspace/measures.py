@@ -68,10 +68,6 @@ class MeasureSpec:
     # -- structure ----------------------------------------------------------
 
     @property
-    def has_density(self) -> bool:
-        return bool(self.densities)
-
-    @property
     def support_sup(self) -> float:
         if self.densities:
             return 1.0

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rng, criteria, operators
-from .symbols import MONOTONE_GENERAL, SymbolSeq
+from .symbols import SymbolSeq
 
 _DIST_NAMES = ("rademacher", "uniform-symmetric", "gaussian")
 # E[X^4] of the unnormalized base distributions
@@ -58,9 +58,7 @@ class RngSpec:
 def sample_symbol(s: SymbolSeq, d: DistTag, rng: RngSpec, n: int) -> SymbolSeq:
     """Explicit symbol omega_k = X_k * conj(lambda_k), k = 0..n: the first
     n + 1 values of SymbolSeq.randomized."""
-    out = SymbolSeq.explicit(SymbolSeq.randomized(s, d, rng.seed, rng.stream).values(np.arange(n + 1)))
-    # randomized symbols never claim monotonicity
-    return SymbolSeq(out.kind, out.params, MONOTONE_GENERAL)
+    return SymbolSeq.explicit(SymbolSeq.randomized(s, d, rng.seed, rng.stream).values(np.arange(n + 1)))
 
 
 def fourth_moment_exact_rademacher(a) -> float:
@@ -119,10 +117,6 @@ class TailQuartiles:
 @dataclass
 class RandomTailReport:
     rows: list
-    replicas: int
-    n: int
-    seed: int
-    stream: int
     membership: criteria.WidomTail
 
 
@@ -164,4 +158,4 @@ def random_tail_experiment(
         det = operators.tail_section_norm(s, "hankel", m, n, tol=tol, max_iter=max_iter)
         q25, q50, q75 = np.percentile(norms[:, j], [25.0, 50.0, 75.0])
         rows.append(TailQuartiles(m, float(q25), float(q50), float(q75), det))
-    return RandomTailReport(rows, replicas, n, rng.seed, rng.stream, membership)
+    return RandomTailReport(rows, membership)

@@ -16,12 +16,11 @@ Besides point values every symbol knows how to bracket its weighted tails
 sum_{n > N} w(n) |lambda_n|^2 (w(n) = n or n+1): exactly zero for finite
 symbols, by integral comparison for powerlog, by closed-form geometric sums
 for atomic moment symbols and ruled lacunary symbols, and "not certified"
-otherwise.  The same exponents give each such symbol its closed-form class
-(widom_class): the order of S(m) = sum_{n >= m} n |lambda_n|^2 against
-1/log m, which is the classification layer's verdict, and one rule on them
-(_diverges) flags the tails that are infinite.  A density's exponents
-(gamma + 1, delta) do both for moment symbols, though only its unbounded
-class is a verdict until its tail is certified.
+otherwise.  One exponent table (_exponents) gives each infinite symbol the
+(alpha, beta) of the powerlog whose tail order it has.  It sets the class
+(widom_class: the order of S(m) = sum_{n >= m} n |lambda_n|^2 against
+1/log m, which is the verdict) and flags the divergent remainders
+(_remainder, the one tail bracket past the summed indices).
 """
 
 from __future__ import annotations
@@ -78,43 +77,33 @@ def _weight_values(weight: str, n: np.ndarray) -> np.ndarray:
 class SymbolSeq:
     """A symbol sequence; construct via the ``explicit``/``powerlog``/...
 
-    classmethods.  Instances are values: no method writes to ``kind``,
-    ``params`` or ``monotone_flag`` after construction, and a ruled lacunary
-    symbol regenerates its support on each call instead of storing it, so
-    instances are safe to share across threads.
+    classmethods.  Instances are values: no method writes to ``kind`` or
+    ``params`` after construction, and a ruled lacunary symbol regenerates
+    its support on each call instead of storing it, so instances are safe
+    to share across threads.
     """
 
-    def __init__(self, kind, params, monotone_flag):
+    def __init__(self, kind, params):
         self.kind = kind
         self.params = params
-        self.monotone_flag = monotone_flag
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def explicit(cls, values) -> "SymbolSeq":
         arr = _real_or_complex(np.atleast_1d(values))
-        if arr.dtype == np.float64 and arr.size and np.all(arr >= 0.0) and np.all(np.diff(arr) <= 0.0):
-            flag = MONOTONE_DECREASING
-        else:
-            flag = MONOTONE_GENERAL
-        return cls("explicit", {"support": np.arange(arr.shape[0], dtype=np.int64), "values": arr}, flag)
+        return cls("explicit", {"support": np.arange(arr.shape[0], dtype=np.int64), "values": arr})
 
     @classmethod
     def powerlog(cls, alpha: float, beta: float, scale: float = 1.0) -> "SymbolSeq":
         if scale <= 0.0:
             raise ValueError("powerlog scale must be positive")
-        flag = MONOTONE_DECREASING if (alpha >= 0.0 and beta >= 0.0) else MONOTONE_GENERAL
-        return cls(
-            "powerlog",
-            {"alpha": float(alpha), "beta": float(beta), "scale": float(scale)},
-            flag,
-        )
+        return cls("powerlog", {"alpha": float(alpha), "beta": float(beta), "scale": float(scale)})
 
     @classmethod
     def from_measure(cls, measure) -> "SymbolSeq":
         """Moment sequence mu_n of a finite positive measure on [0, 1)."""
-        return cls("moments", {"measure": measure}, MONOTONE_DECREASING)
+        return cls("moments", {"measure": measure})
 
     @classmethod
     def lacunary(cls, support, values, ratio: float | None = None) -> "SymbolSeq":
@@ -129,7 +118,7 @@ class SymbolSeq:
         q = _lacunary_ratio(support) if ratio is None else float(ratio)
         if support.size >= 2 and q <= 1.0:
             raise ValueError("lacunary support must have ratio q > 1")
-        return cls("lacunary", {"support": support, "values": _real_or_complex(vals), "q": q}, MONOTONE_GENERAL)
+        return cls("lacunary", {"support": support, "values": _real_or_complex(vals), "q": q})
 
     @classmethod
     def lacunary_rule(
@@ -151,14 +140,14 @@ class SymbolSeq:
         if scale <= 0.0:
             raise ValueError("rule scale must be positive")
         rule = {"decay": float(decay), "power": float(power), "scale": float(scale)}
-        return cls("lacunary", {"start": int(start), "q": float(ratio), "rule": rule}, MONOTONE_GENERAL)
+        return cls("lacunary", {"start": int(start), "q": float(ratio), "rule": rule})
 
     @classmethod
     def randomized(cls, base: "SymbolSeq", dist, seed: int, stream: int = 0) -> "SymbolSeq":
         """Multiplier symbol X_n * conj(lambda_n); dist must expose
         sample(seed, stream, indices)."""
         params = {"base": base, "dist": dist, "seed": int(seed), "stream": int(stream)}
-        return cls("randomized", params, MONOTONE_GENERAL)
+        return cls("randomized", params)
 
     # -- values -------------------------------------------------------------
 
@@ -187,19 +176,22 @@ class SymbolSeq:
             return x * base_vals
         raise AssertionError(f"unhandled kind {self.kind}")
 
-    def support_between(self, lo: int, hi: int) -> np.ndarray:
-        """Increasing indices in [lo, hi] that hold every nonzero value there:
-        the stored support of explicit and lacunary symbols, all of [lo, hi]
-        for the other kinds."""
-        if self.kind in ("explicit", "lacunary"):
-            support, _ = self._points(hi)
-            return support[np.searchsorted(support, lo) : np.searchsorted(support, hi, side="right")]
-        return np.arange(lo, hi + 1, dtype=np.int64)
-
     def value(self, n: int) -> complex:
         return complex(self.values(np.array([n]))[0])
 
     # -- structure ----------------------------------------------------------
+
+    @property
+    def monotone_flag(self) -> str:
+        """'decreasing-positive' for moments, powerlog with alpha, beta >= 0
+        and real nonnegative nonincreasing explicit lists, else 'general'."""
+        p = self.params
+        if self.kind == "explicit":
+            v = p["values"]
+            decreasing = v.dtype == np.float64 and v.size and np.all(v >= 0.0) and np.all(np.diff(v) <= 0.0)
+        else:
+            decreasing = self.kind == "moments" or self.kind == "powerlog" and p["alpha"] >= 0.0 and p["beta"] >= 0.0
+        return MONOTONE_DECREASING if decreasing else MONOTONE_GENERAL
 
     @property
     def finite_support_bound(self) -> int | None:
@@ -218,22 +210,7 @@ class SymbolSeq:
 
         weight = 'widom' uses w(n) = n, 'membership' uses w(n) = n + 1.
         """
-        if weight not in ("widom", "membership"):
-            raise ValueError(f"unknown tail weight {weight!r}")
-        bound = self.finite_support_bound
-        if bound is not None:
-            if bound <= nmax:
-                return WidomTail(nmax + 1, 0.0, 0.0)
-            # finite symbol with support past nmax: sum the leftover exactly
-            return self.tail_brackets([nmax + 1], nmax, weight)[0]
-        if self.kind == "powerlog":
-            return _powerlog_tail(self.params, nmax, weight)
-        if self.kind == "moments":
-            return _moments_tail(self.params["measure"], nmax, weight)
-        if self.kind == "lacunary":
-            return self._lacunary_rule_tail(nmax)
-        # randomized and other kinds: not certified
-        return WidomTail(nmax + 1, 0.0, np.inf)
+        return self.tail_brackets([nmax + 1], nmax, weight)[0]
 
     def tail_brackets(self, m_grid, nmax: int, weight: str = "widom") -> list[WidomTail]:
         """Brackets of sum_{n >= m} w(n) |lambda_n|^2 at each cutoff of an
@@ -250,13 +227,20 @@ class SymbolSeq:
         if nmax < 0:
             raise ValueError("nmax must be >= 0")
         hi = max(nmax, self.finite_support_bound or 0)
-        n = self.support_between(m_grid[0], hi)
-        terms = _weight_values(weight, n) * np.abs(self.values(n)) ** 2
-        rem = self.tail_remainder(hi, weight)
+        if self.kind in ("explicit", "lacunary"):
+            # the points through hi, read once: nothing else is nonzero there
+            n, vals = self._points(hi)
+            first = np.searchsorted(n, m_grid[0])
+            n, vals = n[first:], vals[first:]
+        else:
+            n = np.arange(m_grid[0], hi + 1, dtype=np.int64)
+            vals = self.values(n)
+        terms = _weight_values(weight, n) * np.abs(vals) ** 2
+        rem = self._remainder(hi, weight)
         brackets = []
         for m in m_grid:
             if m > hi:
-                brackets.append(self.tail_remainder(m - 1, weight))
+                brackets.append(self._remainder(m - 1, weight))
                 continue
             # pairwise per-cutoff sums: cheaper-looking running sums accumulate
             # too much rounding for the certified brackets
@@ -269,26 +253,17 @@ class SymbolSeq:
     def widom_class(self) -> str | None:
         """Closed-form order of S(m) = sum_{n >= m} n |lambda_n|^2 against
         1/log m: 'compact' (little-o), 'bounded' (big-O only) or 'unbounded',
-        from the same exponents tail_remainder uses.  A density's moments
-        have the order of powerlog(gamma + 1, delta) (Karamata's Abelian
-        theorem), and a measure takes the class of its slowest component;
-        its bounded and compact classes wait for a certified density tail,
-        so they give None, as randomized symbols over an infinite base do."""
+        from the exponent table.  A density's bounded and compact classes
+        wait for a certified density tail, so they give None, as randomized
+        symbols over an infinite base do."""
         if self.finite_support_bound is not None:
             return "compact"
-        if self.kind == "powerlog":
-            return _log_power_class(self.params["alpha"], self.params["beta"])
-        if self.kind == "lacunary":
-            rule = self.params["rule"]
-            # sum over n_k ~ q^k of n_k^(1 - 2 decay) (k+1)^(-2 power) has the
-            # order of powerlog(decay + 1/2, power), with log n_k ~ k log q
-            return _log_power_class(rule["decay"] + 0.5, rule["power"])
-        if self.kind == "moments":
-            densities = self.params["measure"].densities
-            if any(_log_power_class(d.gamma + 1.0, d.delta) == "unbounded" for d in densities):
-                return "unbounded"
-            return None if densities else "compact"  # atoms in [0, 1): geometric decay
-        return None
+        classes = [_log_power_class(a, b) for a, b in self._exponents()]
+        if self.kind in ("powerlog", "lacunary"):
+            return classes[0]
+        if "unbounded" in classes:
+            return "unbounded"
+        return "compact" if self.kind == "moments" and not classes else None  # atoms: geometric decay
 
     # -- internals ----------------------------------------------------------
 
@@ -305,14 +280,42 @@ class SymbolSeq:
         ]
         return support, np.array(vals, dtype=np.float64)
 
+    def _exponents(self) -> list[tuple[float, float]]:
+        """(alpha, beta) of each powerlog whose tail order an infinite symbol
+        has: a lacunary rule's sum over n_k ~ q^k (log n_k ~ k log q) has that
+        of (decay + 1/2, power), a density's moments that of (gamma + 1,
+        delta) by Karamata's Abelian theorem; atoms and randomized add none."""
+        p = self.params
+        if self.kind == "powerlog":
+            return [(p["alpha"], p["beta"])]
+        if self.kind == "lacunary":
+            return [(p["rule"]["decay"] + 0.5, p["rule"]["power"])]
+        if self.kind == "moments":
+            return [(d.gamma + 1.0, d.delta) for d in p["measure"].densities]
+        return []
+
+    def _remainder(self, nmax: int, weight: str) -> WidomTail:
+        """Bracket for sum_{n > nmax} w(n) |lambda_n|^2, nmax past any finite
+        support: zero there, divergent when an exponent pair diverges, else
+        the kind's closed form or, for densities and randomized, uncertified."""
+        if self.finite_support_bound is not None:
+            return WidomTail(nmax + 1, 0.0, 0.0)
+        if any(_diverges(a, b) for a, b in self._exponents()):
+            return WidomTail(nmax + 1, 0.0, np.inf, divergent=True)
+        if self.kind == "powerlog":
+            return _powerlog_tail(self.params, nmax, weight)
+        if self.kind == "lacunary":
+            return self._lacunary_rule_tail(nmax)
+        if self.kind == "moments" and not self.params["measure"].densities:
+            return _atom_tail(self.params["measure"].atoms, nmax, weight)
+        return WidomTail(nmax + 1, 0.0, np.inf)
+
     def _lacunary_rule_tail(self, nmax: int) -> WidomTail:
         """A bracket of either weighted tail past nmax: the support starts at
         1, so w(n) <= n + 1 <= 2 n covers both weights."""
         rule = self.params["rule"]
         rho, p, scale = rule["decay"], rule["power"], rule["scale"]
         q = self.params["q"]
-        if _diverges(rho + 0.5, p):
-            return WidomTail(nmax + 1, 0.0, np.inf, divergent=True)
         support, first_past = _rule_support(self.params, nmax)
         k0, m0 = support.shape[0], float(first_past)  # m0 = n_k0 > nmax
         if rho > 0.5:
@@ -369,13 +372,11 @@ def _diverges(alpha: float, beta: float) -> bool:
 
 
 def _powerlog_tail(params: dict, nmax: int, weight: str) -> WidomTail:
-    """Integral-comparison bracket for sum_{n>N} w(n) lambda_n^2,
-    lambda_n = scale (n+1)^(-alpha) log(n+2)^(-beta)."""
+    """Integral-comparison bracket for sum_{n>N} w(n) lambda_n^2, lambda_n =
+    scale (n+1)^(-alpha) log(n+2)^(-beta), for a pair that does not diverge."""
     a, b, scale = params["alpha"], params["beta"], params["scale"]
     s2 = scale * scale
     n = float(nmax)
-    if _diverges(a, b):
-        return WidomTail(nmax + 1, 0.0, np.inf, divergent=True)
     if b < 0.0:
         # growing log factor: certification not implemented
         return WidomTail(nmax + 1, 0.0, np.inf)
@@ -400,26 +401,17 @@ def _powerlog_tail(params: dict, nmax: int, weight: str) -> WidomTail:
     return WidomTail(nmax + 1, 0.0, float(upper))
 
 
-def _moments_tail(measure, nmax: int, weight: str) -> WidomTail:
-    """Tail bracket for a moment symbol.
-
-    Atom-only measures (support supremum < 1) admit an exact closed form via
-    sum_{n>N} w(n) x^n over products of atom locations; measures with a
-    density component (c > 0) reach up to t = 1 and are not certified, but
-    a density whose powerlog(gamma + 1, delta) exponents diverge makes the
-    tail divergent.
-    """
-    if measure.has_density:
-        divergent = any(_diverges(d.gamma + 1.0, d.delta) for d in measure.densities)
-        return WidomTail(nmax + 1, 0.0, np.inf, divergent)
+def _atom_tail(atoms, nmax: int, weight: str) -> WidomTail:
+    """Exact closed form of the tail of an atom-only moment symbol (support
+    supremum < 1): sum_{n>N} w(n) x^n over products x of atom locations."""
     lower = upper = 0.0
-    for loc_j, mass_j in measure.atoms:
-        for loc_i, mass_i in measure.atoms:
+    for loc_j, mass_j in atoms:
+        for loc_i, mass_i in atoms:
             lo, up = _geom_tail(loc_j * loc_i, nmax, weight)
             lower += mass_j * mass_i * lo
             upper += mass_j * mass_i * up
     # a running sum of k^2 positive terms errs by less than k^2 eps relative
-    pad = len(measure.atoms) ** 2 * _EPS
+    pad = len(atoms) ** 2 * _EPS
     return WidomTail(nmax + 1, lower * (1.0 - pad), upper * (1.0 + pad))
 
 

@@ -66,6 +66,23 @@ def test_no_function_level_imports(path):
             assert not lines, f"{path.name}: import inside {func.name} at line(s) {lines}"
 
 
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"), ids=lambda path: path.name
+)
+def test_module_imports_are_used(path):
+    # a name imported at module level and never read is a leftover of a deletion
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported.update({alias.asname or alias.name.split(".")[0]: node.lineno for alias in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update({alias.asname or alias.name: node.lineno for alias in node.names})
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = {name: line for name, line in imported.items() if name not in used}
+    assert not unused, f"{path.name}: unused imports {unused}"
+
+
 _SYMBOL_STATE = {"params", "kind", "monotone_flag"}
 
 
@@ -80,8 +97,9 @@ def _writes_symbol_state(target):
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
 def test_symbol_state_is_written_only_by_the_constructor(path):
-    # SymbolSeq is a value: kind, params and monotone_flag are set in __init__
-    # and never written again, by the class itself or by any other module
+    # SymbolSeq is a value: kind and params are set in __init__ and never
+    # written again, by the class itself or by any other module, and the
+    # read-only monotone_flag is never assigned
     tree = ast.parse(path.read_text(encoding="utf-8"))
     allowed = set()
     for cls in ast.walk(tree):

@@ -152,6 +152,30 @@ def test_config_error_path(config, path):
     assert err.value.path == path
 
 
+# a typo of a real field, last in each config: a misspelt field must not be
+# ignored, leaving the command to run on that field's default
+_TYPOS = {
+    "classify": {"symbol": POWERLOG, "clasify": {"nmax": 8}},
+    "sections": {"symbol": POWERLOG, "n_gird": [8]},
+    "rkt": {"symbol": POWERLOG, "t_grid": [0.5], "nn": 8},
+    "moments": {"measure": {"named": "lebesgue"}, "n": 8, "classfy": {"nmax": 8}},
+    "carleson": {"symbol": POWERLOG, "n_grid": [8], "delta_gird": [0.25]},
+    "random-sim": {"symbol": POWERLOG, "seed": 1, "n": 16, "replicsa": 2},
+    "doublesum": {"seed": 1, "count": 2, "max_lne": 8},
+    "demo": {"presets": "hilbert"},
+}
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_unknown_top_level_field_exits_2(command, tmp_path, capsys):
+    config = _TYPOS[command]
+    typo = list(config)[-1]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main([command, "--config", str(cfg)]) == 2
+    assert f"config.{typo}" in capsys.readouterr().err
+
+
 def test_random_sim_precondition_message():
     cfg = {
         "command": "random-sim",
@@ -503,7 +527,7 @@ def test_main_writes_files_and_seed_override(tmp_path, capsys):
     cfg.write_text(
         json.dumps(
             {
-                "command_ignored": True,
+                "command": "classify",  # argv's command wins
                 "count": 20,
                 "max_len": 32,
                 "seed": 1,
@@ -527,6 +551,7 @@ def test_main_writes_files_and_seed_override(tmp_path, capsys):
     assert code == 0
     report = json.loads((out / "report.json").read_bytes())
     assert report["results"]["seed"] == 42
+    assert report["command"] == "doublesum"
     assert (out / "double_sum_ratio_per_vector.csv").exists()
 
 

@@ -136,7 +136,7 @@ def test_sparse_symbol_tails_read_only_the_support(sym, monkeypatch):
     monkeypatch.setattr(SymbolSeq, "values", lambda self, idx: seen.append(len(idx)) or values(self, idx))
     tail = widom_tail(sym, 4, nmax)
     pts = widom_profile(sym, [0, 4, 16, 64], nmax)
-    assert max(seen) <= 64
+    assert all(k <= 64 for k in seen)  # explicit and lacunary brackets read no values at all
     assert tail.lower <= np.sum(dense[4:]) <= tail.upper
     for p in pts:
         assert p.lower <= np.sum(dense[p.m :]) * np.log(p.m + 2.0) <= p.upper

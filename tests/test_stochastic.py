@@ -31,6 +31,8 @@ def test_dist_fourth_moment_normalization():
 def test_sample_symbol_zero_base():
     out = sample_symbol(SymbolSeq.explicit([0.0, 0.0]), DistTag("gaussian"), RngSpec(1), 10)
     assert np.all(out.values(np.arange(11)) == 0.0)
+    # the flag is read off the sampled values: zeros are nonnegative and nonincreasing
+    assert out.monotone_flag == "decreasing-positive"
 
 
 def test_sample_symbol_rademacher_moduli():
@@ -38,7 +40,7 @@ def test_sample_symbol_rademacher_moduli():
     out = sample_symbol(base, DistTag("rademacher"), RngSpec(5), 32)
     idx = np.arange(33)
     assert np.allclose(np.abs(out.values(idx)), np.abs(base.values(idx)))
-    assert out.monotone_flag == "general"
+    assert out.monotone_flag == "general"  # the signs break monotonicity
 
 
 def test_sample_symbol_determinism_and_streams():

@@ -3,7 +3,7 @@ import pytest
 
 from dirspace.measures import MeasureSpec
 from dirspace.stochastic import DistTag
-from dirspace.symbols import SymbolSeq
+from dirspace.symbols import _SUM_PAD, SymbolSeq
 
 
 def test_widom_class_by_kind():
@@ -130,7 +130,8 @@ def test_lacunary_rule_support_follows_the_recursion(start, q):
         n_k = max(n_k + 1, int(np.ceil(n_k * q)))
     s = SymbolSeq.lacunary_rule(start, q, decay=0.75, power=0.5)
     for hi in (0, start, 4999, 20000):
-        np.testing.assert_array_equal(s.support_between(0, hi), [n for n in support if n <= hi])
+        # a rule's values are positive on its support, so the nonzero indices are the support
+        np.testing.assert_array_equal(np.flatnonzero(s.values(np.arange(hi + 1))), [n for n in support if n <= hi])
     k = np.arange(len(support))
     np.testing.assert_allclose(
         s.values(support), np.array(support, dtype=float) ** -0.75 * (k + 1.0) ** -0.5, rtol=1e-15
@@ -149,6 +150,15 @@ def test_randomized_symbol_determinism():
 
 
 # -- tail brackets ----------------------------------------------------------
+
+
+def test_finite_support_past_nmax_is_summed_exactly():
+    # support points 9 and 40 lie past nmax = 8; |values|^2 = 0.25, 0.0625
+    s = SymbolSeq.lacunary([3, 9, 40], [1.0, -0.5, 0.25j])
+    for weight, exact in (("widom", 4.75), ("membership", 5.0625)):
+        b = s.tail_remainder(8, weight)
+        assert b.m == 9 and not b.divergent
+        assert exact * (1.0 - _SUM_PAD) <= b.lower <= exact <= b.upper <= exact * (1.0 + _SUM_PAD)
 
 
 def test_explicit_tail_is_exact_zero():
@@ -325,7 +335,6 @@ def test_evaluation_leaves_params_untouched(make):
     s = make()
     before = dict(s.params)
     s.values(np.arange(0, 4096, 7))
-    s.support_between(3, 5000)
     s.tail_brackets([0, 10, 20000], 1024)
     s.tail_brackets([5], 2**18, "membership")
     assert s.params.keys() == before.keys()
