@@ -8,15 +8,14 @@ Usage:
 Commands: classify, sections, rkt, moments, carleson, random-sim, doublesum,
 demo.  Exit codes: 0 success, 1 a demo check failed, 2 usage/config error.
 
-Config schema (JSON object; fields by command, all numeric grids strictly
-increasing):
+Config schema (JSON object; fields by command, every number finite, all
+numeric grids strictly increasing):
 
     symbol      object; one of
                   {"kind": "explicit", "values": [x | {"re","im"} ...]}
                   {"kind": "powerlog", "alpha": f, "beta": f, "scale": f=1}
                   {"kind": "moments", "measure": {...}}
-                  {"kind": "lacunary", "support": [int...], "values": [f...],
-                   "q": f (optional)}
+                  {"kind": "lacunary", "support": [int...], "values": [f...]}
                   {"kind": "lacunary", "rule": {"decay": f, "power": f=0,
                    "scale": f=1}, "start": int=1, "q": f=2}
                   {"kind": "randomized", "base": {...}, "dist": name,
@@ -46,13 +45,17 @@ increasing):
     preset      demo only; one of the twelve check names in checks.py
                 (e.g. "hilbert", "widom-ladder") or "all"
 
-Top-level fields are checked per command: a config holds only the fields
-its command reads, plus command and seed (--seed-override may set seed for
-any command).  Symbol, rule, {"re", "im"}, measure, atom and density
-objects, like classify and power, take only the fields listed.  An error
-names the nested path of its field (e.g. config.n_gird, symbol.base.beta,
-symbol.measure.densities[0].gama), or of its object when a constructor
-rejects the value's range.
+Top-level fields are checked per command, and for classify per route: a
+config holds only the fields its command and route read, plus command and
+seed (--seed-override may set seed for any command).  The Widom route of
+classify reads symbol or measure, kind, route and classify; the Carleson
+route reads symbol, kind (hankel only), route and n_grid (default [64, 128,
+256, 512]) and gives the verdict and xnorm_vs_degree curve of the carleson
+command, without its delta sweep.  Symbol, rule, {"re", "im"}, measure,
+atom and density objects, like classify and power, take only the fields
+listed.  An error names the nested path of its field (e.g. config.n_gird,
+symbol.base.beta, symbol.measure.densities[0].gama), or of its object when
+a constructor rejects the value's range.
 
 Every reported norm carries its section dimension; every tail carries its
 bracket; every stochastic value carries its seed.  Reports are byte-identical
@@ -72,6 +75,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, carleson, checks, criteria, measures, operators, stochastic, symbols
+
+_FLOAT_MAX = sys.float_info.max
+
 
 class ConfigError(ValueError):
     """Invalid configuration; carries the offending field path."""
@@ -103,7 +109,8 @@ def _fields(obj, path: str, allowed: tuple) -> dict:
 
 
 def _as_int(value, path: str, low: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or int(value) != value:
+    # is_integer is False for NaN and the infinities too
+    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
         raise ConfigError(path, f"expected an integer, got {value!r}")
     if low is not None and value < low:
         raise ConfigError(path, f"need {low} or more, got {value!r}")
@@ -111,8 +118,10 @@ def _as_int(value, path: str, low: int | None = None) -> int:
 
 
 def _as_number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(path, f"expected a number, got {value!r}")
+    # json.load reads NaN and +-Infinity; the bound fails for them and for
+    # integers past the largest float
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= _FLOAT_MAX:
+        raise ConfigError(path, f"expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -132,7 +141,8 @@ def _as_value(value, path: str) -> complex | float:
     if not isinstance(value, dict):
         return _as_number(value, path)
     re, im = _fields(value, path, ("re", "im")).get("re"), value.get("im", 0.0)
-    if type(re) is float and type(im) is float:  # the bulk of long value lists: no path to build
+    # the bulk of long value lists: no path to build
+    if type(re) is float and type(im) is float and abs(re) <= _FLOAT_MAX and abs(im) <= _FLOAT_MAX:
         return complex(re, im)
     return complex(*_numbers(value, path, {"re": None, "im": 0.0}))
 
@@ -190,11 +200,10 @@ def _parse_symbol(obj, path: str = "symbol") -> symbols.SymbolSeq:
         start, q = _as_int(obj.get("start", 1), f"{p}start"), _as_number(obj.get("q", 2.0), f"{p}q")
         return _build(path, symbols.SymbolSeq.lacunary_rule, start, q, *rule)
     if kind == "lacunary":
-        _fields(obj, path, ("kind", "support", "values", "q"))
+        _fields(obj, path, ("kind", "support", "values"))
         support = _as_list(_require(obj, "support", p), f"{p}support", _as_int)
         values = _as_list(_require(obj, "values", p), f"{p}values", _as_number)
-        q = _as_number(obj["q"], f"{p}q") if "q" in obj else None
-        return _build(path, symbols.SymbolSeq.lacunary, support, values, q)
+        return _build(path, symbols.SymbolSeq.lacunary, support, values)
     if kind == "randomized":
         _fields(obj, path, ("kind", "base", "dist", "normalized", "seed", "stream"))
         base = _parse_symbol(_require(obj, "base", p), f"{p}base")
@@ -300,29 +309,23 @@ def _profile_rows(profile):
 
 
 def _run_classify(cfg: dict) -> tuple[dict, list]:
-    has_symbol = "symbol" in cfg
-    if has_symbol == ("measure" in cfg):
+    if ("symbol" in cfg) == ("measure" in cfg):
         raise ConfigError("symbol", "provide exactly one of 'symbol' or 'measure'")
     kind = _parse_kind(cfg)
     ccfg = _parse_classify_cfg(cfg)
-    route = cfg.get("route", "widom")
-    if route not in ("widom", "carleson"):
-        raise ConfigError("route", f"expected 'widom' or 'carleson', got {route!r}")
-    if route == "carleson" and not has_symbol:
-        raise ConfigError("route", "the carleson route needs a 'symbol'")
-    if route == "carleson" and kind != "hankel":
-        raise ConfigError("kind", "the carleson route classifies Hankel operators only")
-    if has_symbol:
+    if "symbol" in cfg:
         sym = _parse_symbol(cfg["symbol"])
     else:
         sym = symbols.SymbolSeq.from_measure(_parse_measure(cfg["measure"]))
-    if route == "carleson":
-        n_grid = _degree_grid(cfg, [64, 128, 256, 512])
-        report = carleson.classify_hankel_general(carleson.symbol_poly(sym, max(n_grid)), n_grid)
-        curves = [_curve("xnorm_vs_degree", _profile_rows(report.profile))]
-    else:
-        report = criteria.classify(sym, kind, ccfg)
-        curves = [_curve("widom_profile", _profile_rows(report.profile), {"nmax": ccfg.nmax})]
+    report = criteria.classify(sym, kind, ccfg)
+    curves = [_curve("widom_profile", _profile_rows(report.profile), {"nmax": ccfg.nmax})]
+    return _verdict(report), curves
+
+
+def _run_classify_carleson(cfg: dict) -> tuple[dict, list]:
+    if _parse_kind(cfg) != "hankel":
+        raise ConfigError("kind", "the carleson route classifies Hankel operators only")
+    report, _, curves = _carleson_verdict(cfg, [64, 128, 256, 512])
     return _verdict(report), curves
 
 
@@ -378,9 +381,18 @@ def _run_moments(cfg: dict) -> tuple[dict, list]:
     return {"total_mass": spec.total_mass, "support_sup": spec.support_sup}, curves
 
 
-def _run_carleson(cfg: dict) -> tuple[dict, list]:
+def _carleson_verdict(cfg: dict, default_n_grid: list):
+    """The Carleson-route report of cfg's symbol over its test degrees, the
+    symbol's polynomial b of the top degree and the xnorm_vs_degree curve;
+    the verdict's profile is the x-norm sweep, so each x-norm is solved once."""
     sym = _parse_symbol(_require(cfg, "symbol"))
-    n_grid = _degree_grid(cfg, [64, 128, 256])
+    n_grid = _degree_grid(cfg, default_n_grid)
+    b_top = carleson.symbol_poly(sym, max(n_grid))
+    report = carleson.classify_hankel_general(b_top, n_grid)
+    return report, b_top, [_curve("xnorm_vs_degree", _profile_rows(report.profile))]
+
+
+def _run_carleson(cfg: dict) -> tuple[dict, list]:
     delta_grid = _as_grid(
         cfg.get("delta_grid", sorted(carleson.DELTA_SCHEDULE)),
         "delta_grid",
@@ -388,20 +400,14 @@ def _run_carleson(cfg: dict) -> tuple[dict, list]:
     )
     if delta_grid[0] <= 0.0 or delta_grid[-1] >= 1.0:
         raise ConfigError("delta_grid", "annulus widths must lie in (0, 1)")
-    n_top = max(n_grid)
-    b_top = carleson.symbol_poly(sym, n_top)
-    # the verdict's profile is the x-norm sweep, so each x-norm is solved once
-    report = carleson.classify_hankel_general(b_top, n_grid)
+    report, b_top, curves = _carleson_verdict(cfg, [64, 128, 256])
     restricted = [
         report.restricted_norm  # the verdict's boundary test, same solve
         if delta == carleson.VANISH_DELTA and report.restricted_norm is not None
-        else carleson.restricted_carleson_norm(b_top, n_top, delta)
+        else carleson.restricted_carleson_norm(b_top, b_top.degree, delta)
         for delta in delta_grid
     ]
-    curves = [
-        _curve("xnorm_vs_degree", _profile_rows(report.profile)),
-        _point_curve("restricted_vs_delta", delta_grid, restricted, {"n": n_top}),
-    ]
+    curves.append(_point_curve("restricted_vs_delta", delta_grid, restricted, {"n": b_top.degree}))
     return _verdict(report), curves
 
 
@@ -463,18 +469,20 @@ def _run_demo(cfg: dict) -> tuple[dict, list]:
     return {"checks": results, "all_pass": all(c["pass"] for c in results)}, []
 
 
-# each command's handler and the top-level fields it reads
+# the handler of each command and route and the top-level fields it reads;
+# a command with several routes reads "route", whose default is listed first
 _HANDLERS = {
-    "classify": (_run_classify, ("symbol", "measure", "kind", "route", "classify", "n_grid")),
-    "sections": (_run_sections, ("symbol", "kind", "power", "n_grid", "m_grid")),
-    "rkt": (_run_rkt, ("symbol", "kind", "t_grid", "n")),
-    "moments": (_run_moments, ("measure", "n", "classify")),
-    "carleson": (_run_carleson, ("symbol", "n_grid", "delta_grid")),
-    "random-sim": (_run_random_sim, ("symbol", "dist", "normalized", "stream", "replicas", "n", "m_grid", "power")),
-    "doublesum": (_run_doublesum, ("stream", "count", "max_len")),
-    "demo": (_run_demo, ("preset",)),
+    ("classify", "widom"): (_run_classify, ("symbol", "measure", "kind", "route", "classify")),
+    ("classify", "carleson"): (_run_classify_carleson, ("symbol", "kind", "route", "n_grid")),
+    ("sections", None): (_run_sections, ("symbol", "kind", "power", "n_grid", "m_grid")),
+    ("rkt", None): (_run_rkt, ("symbol", "kind", "t_grid", "n")),
+    ("moments", None): (_run_moments, ("measure", "n", "classify")),
+    ("carleson", None): (_run_carleson, ("symbol", "n_grid", "delta_grid")),
+    ("random-sim", None): (_run_random_sim, ("symbol", "dist", "normalized", "stream", "replicas", "n", "m_grid", "power")),
+    ("doublesum", None): (_run_doublesum, ("stream", "count", "max_len")),
+    ("demo", None): (_run_demo, ("preset",)),
 }
-COMMANDS = tuple(_HANDLERS)
+COMMANDS = tuple(dict.fromkeys(command for command, _ in _HANDLERS))
 
 
 def run(config: dict) -> dict:
@@ -484,7 +492,11 @@ def run(config: dict) -> dict:
     command = _require(config, "command")
     if command not in COMMANDS:
         raise ConfigError("command", f"unknown command {command!r}; choose from {COMMANDS}")
-    handler, fields = _HANDLERS[command]
+    routes = [route for name, route in _HANDLERS if name == command]
+    route = config.get("route", routes[0]) if len(routes) > 1 else None
+    if route not in routes:
+        raise ConfigError("route", f"expected one of {routes}, got {route!r}")
+    handler, fields = _HANDLERS[command, route]
     # seed is allowed everywhere: --seed-override sets it for any command
     _fields(config, "config", ("command", "seed", *fields))
     start = time.perf_counter()

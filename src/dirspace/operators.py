@@ -107,8 +107,9 @@ def top_singular_value(m, tol: float = 1e-10, max_iter: int | None = None):
     of its smaller dimension); converged means the Ritz residual is
     <= tol * sigma.  Either way sigma is scaled back here, by 2^exponent.  The
     start vector is a fixed seeded pseudo-random unit vector, so results are
-    reproducible.  The zero operator gives exactly 0.0.  Returns
-    (sigma, converged); sigma is a lower estimate when converged is False.
+    reproducible.  The zero operator gives exactly 0.0; NaN or infinite
+    data raise ValueError in the scaling.  Returns (sigma, converged); sigma
+    is a lower estimate when converged is False.
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
@@ -165,8 +166,12 @@ def _tail_operator(s: SymbolSeq, kind: str, m: int, n: int) -> LinearMap:
 
 def _binary_normalized(values: np.ndarray):
     """(values * 2^-exponent, exponent) in double precision, with the largest
-    modulus scaled into [1/2, 1); exponent is 0 when every value is 0."""
-    exponent = int(np.frexp(np.max(np.abs(values)))[1])
+    modulus scaled into [1/2, 1); exponent is 0 when every value is 0.
+    Raises ValueError for a NaN or infinite value, which has no sigma."""
+    top = np.max(np.abs(values))
+    if not np.isfinite(top):
+        raise ValueError(f"operator data hold a non-finite value ({top})")
+    exponent = int(np.frexp(top)[1])
     values = np.ascontiguousarray(values, dtype=np.result_type(values.dtype, np.float64))
     return np.ldexp(values.view(np.float64), -exponent).view(values.dtype), exponent
 

@@ -106,7 +106,10 @@ class SymbolSeq:
         return cls("moments", {"measure": measure})
 
     @classmethod
-    def lacunary(cls, support, values, ratio: float | None = None) -> "SymbolSeq":
+    def lacunary(cls, support, values) -> "SymbolSeq":
+        """Finite lacunary symbol with values on a strictly increasing
+        integer support >= 1; such a support has every ratio
+        n_{k+1} / n_k > 1, so no ratio is stored."""
         support = np.array(support, dtype=np.int64)  # copied: later writes by the caller do not reach it
         vals = np.atleast_1d(np.asarray(values))
         if support.ndim != 1 or support.shape != vals.shape:
@@ -115,10 +118,7 @@ class SymbolSeq:
             raise ValueError("lacunary support must consist of integers >= 1")
         if np.any(np.diff(support) <= 0):
             raise ValueError("lacunary support must be strictly increasing")
-        q = _lacunary_ratio(support) if ratio is None else float(ratio)
-        if support.size >= 2 and q <= 1.0:
-            raise ValueError("lacunary support must have ratio q > 1")
-        return cls("lacunary", {"support": support, "values": _real_or_complex(vals), "q": q})
+        return cls("lacunary", {"support": support, "values": _real_or_complex(vals)})
 
     @classmethod
     def lacunary_rule(
@@ -329,12 +329,6 @@ class SymbolSeq:
             head = (k0 + 1.0) ** (-2.0 * p) if k0 == 0 else 0.0
             upper = scale**2 * (1.0 + 1.0 / m0) * (tail_k + head)
         return WidomTail(nmax + 1, 0.0, float(upper))
-
-
-def _lacunary_ratio(support: np.ndarray) -> float:
-    if support.size < 2:
-        return np.inf
-    return float(np.min(support[1:] / support[:-1]))
 
 
 def _rule_support(params: dict, through: int):

@@ -89,6 +89,7 @@ def test_random_sim_rejects_zero_replicas():
 
 
 POWERLOG = {"kind": "powerlog", "alpha": 1.0, "beta": 1.0}
+NAN, INF = json.loads("NaN"), json.loads("Infinity")
 
 
 @pytest.mark.parametrize(
@@ -144,6 +145,23 @@ POWERLOG = {"kind": "powerlog", "alpha": 1.0, "beta": 1.0}
         ({"command": "classify", "measure": {"atoms": [{"loc": "0.5", "mass": 1.0}]}}, "measure.atoms[0].loc"),
         ({"command": "classify", "symbol": {"kind": "moments", "measure": {"densities": [{"c": 1, "gama": 0.5}]}}},
          "symbol.measure.densities[0].gama"),
+        # each route reads only its own fields
+        ({"command": "classify", "symbol": POWERLOG, "n_grid": [8]}, "config.n_grid"),
+        ({"command": "classify", "route": "carleson", "symbol": POWERLOG, "classify": {"nmax": 64}},
+         "config.classify"),
+        ({"command": "classify", "route": "carleson", "measure": {"named": "lebesgue"}}, "config.measure"),
+        ({"command": "classify", "symbol": {"kind": "lacunary", "support": [1, 2, 3], "values": [1.0, 1.0, 1.0],
+                                            "q": 50}}, "symbol.q"),
+        # json.load reads NaN and Infinity; no number may enter non-finite
+        ({"command": "classify", "symbol": {"kind": "powerlog", "alpha": NAN, "beta": 1.0}}, "symbol.alpha"),
+        ({"command": "classify", "symbol": {"kind": "powerlog", "alpha": 1.0, "beta": INF}}, "symbol.beta"),
+        ({"command": "sections", "symbol": {"kind": "explicit", "values": [1.0, NAN]}, "n_grid": [4]},
+         "symbol.values[1]"),
+        ({"command": "sections", "symbol": {"kind": "explicit", "values": [{"re": 1.0, "im": NAN}]}, "n_grid": [4]},
+         "symbol.values[0].im"),
+        ({"command": "classify", "measure": {"atoms": [{"loc": 0.5, "mass": INF}]}}, "measure.atoms[0].mass"),
+        ({"command": "sections", "symbol": POWERLOG, "n_grid": [8], "power": {"tol": NAN}}, "power.tol"),
+        ({"command": "rkt", "symbol": POWERLOG, "t_grid": [0.5], "n": INF}, "n"),
     ],
 )
 def test_config_error_path(config, path):
@@ -320,6 +338,11 @@ def test_classify_carleson_route():
     )
     assert report["results"]["applicability"] == "heuristic"
     assert report["curves"][0]["label"] == "xnorm_vs_degree"
+    # the route gives the carleson command's verdict and x-norm sweep
+    sweep = run_config({"command": "carleson", "symbol": POWERLOG, "n_grid": [32, 64, 128]})
+    for key in ("verdict", "applicability", "notes"):
+        assert report["results"][key] == sweep["results"][key]
+    assert report["curves"][0] == sweep["curves"][0]
 
 
 def test_sections_curves():

@@ -204,6 +204,21 @@ def test_top_singular_value_rejects_bad_iteration_settings():
             top_singular_value(bad)
 
 
+def test_top_singular_value_rejects_non_finite_dense_data():
+    m = np.eye(3)
+    m[1, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        top_singular_value(m)
+
+
+def test_tail_section_norm_rejects_overflowed_symbol_values():
+    # powerlog(-300, 0) overflows to inf from index 10 on, so the section has
+    # no finite norm to report
+    s = SymbolSeq.powerlog(-300.0, 0.0)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        tail_section_norm(s, "hankel", 0, 64)
+
+
 @pytest.mark.parametrize(
     "m, want",
     [

@@ -92,7 +92,6 @@ def test_lacunary_explicit():
     assert s.value(4) == 0.25
     assert s.value(3) == 0.0
     assert s.finite_support_bound == 8
-    assert s.params["q"] == 2.0
     # the symbol keeps its own copy of the support
     support = np.array([1, 3, 9], dtype=np.int64)
     copy = SymbolSeq.lacunary(support, [1.0, 1.0, 1.0])
