@@ -7,8 +7,7 @@ build.
 """
 
 import numpy as np
-from scipy import linalg
-from scipy.linalg import lapack
+import scipy
 
 
 def weighted_hankel(sym, row_w, col_w):
@@ -35,7 +34,7 @@ def gram(c, n, w):
     rows = n + c.shape[0]
     if w.shape[0] < rows:
         raise ValueError("weight array too short for gram assembly")
-    a = linalg.toeplitz(np.concatenate([c, np.zeros(n)]), np.zeros(n + 1))
+    a = scipy.linalg.toeplitz(np.concatenate([c, np.zeros(n)]), np.zeros(n + 1))
     a *= np.sqrt(w[:rows])[:, None]
     return a.T @ a.conj()
 
@@ -140,8 +139,8 @@ def _top_ritz(alpha, beta):
     d = alpha * alpha
     d[:-1] += beta * beta
     e = beta * alpha[1:]
-    _, w, block, split, _ = lapack.dstebz(d, e, 2, 0.0, 0.0, k, k, 0.0, b"B")
-    z, _ = lapack.dstein(d, e, w[:1], block, split)
+    _, w, block, split, _ = scipy.linalg.lapack.dstebz(d, e, 2, 0.0, 0.0, k, k, 0.0, b"B")
+    z, _ = scipy.linalg.lapack.dstein(d, e, w[:1], block, split)
     return float(np.sqrt(w[0])), float(z[-1, 0])
 
 

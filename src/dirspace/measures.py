@@ -25,7 +25,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+import scipy
 
 from . import criteria
 from .symbols import SymbolSeq
@@ -132,10 +132,10 @@ def _beta_moments(n: np.ndarray, kappa: float, gamma: float) -> np.ndarray:
     overflows for gamma > 170, the Pochhammer symbol once (gamma+1) log n
     passes about 709."""
     with np.errstate(invalid="ignore"):
-        b = special.gamma(gamma + 1.0) / special.poch(n + kappa + 1.0, gamma + 1.0)
+        b = scipy.special.gamma(gamma + 1.0) / scipy.special.poch(n + kappa + 1.0, gamma + 1.0)
     lost = ~(np.isfinite(b) & (b > 0.0))
     if np.any(lost):
-        b[lost] = np.exp(special.betaln(n[lost] + kappa + 1.0, gamma + 1.0))
+        b[lost] = np.exp(scipy.special.betaln(n[lost] + kappa + 1.0, gamma + 1.0))
     return b
 
 
@@ -184,7 +184,11 @@ def _density_moments_graded(d: Density, n: np.ndarray) -> np.ndarray:
     r_lo, r_hi = (int(r.min()), int(r.max())) if n.size else (0, -1)
     offsets = np.arange(r_lo, r_hi + 1, dtype=np.float64)
     with np.errstate(under="ignore"):
-        heads = np.exp(np.multiply.outer((blocks * _BLOCK).astype(np.float64), log_t)) * w
-        powers = np.exp(np.multiply.outer(offsets, log_t))
+        # in place: one array per table, not three alive at once
+        heads = np.multiply.outer((blocks * _BLOCK).astype(np.float64), log_t)
+        np.exp(heads, out=heads)
+        heads *= w
+        powers = np.multiply.outer(offsets, log_t)
+        np.exp(powers, out=powers)
         table = heads @ powers.T
     return table[row.reshape(n.shape), r - r_lo]

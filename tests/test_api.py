@@ -10,6 +10,7 @@ perfbench as it stands.
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -46,14 +47,39 @@ def test_traced_target_resolves(module, path):
     assert callable(owner)
 
 
+_LOADED_SCIPY = """
+import json, sys
+from dirspace import cli
+
+def loaded():
+    return sorted({".".join(name.split(".")[:2]) for name in sys.modules if name.startswith("scipy.")})
+
+steps = {"import": loaded()}
+powerlog = {"kind": "powerlog", "alpha": 1.0, "beta": 1.5}
+cli.run({"command": "classify", "symbol": powerlog, "kind": "hankel"})
+cli.run({"command": "rkt", "symbol": powerlog, "t_grid": [0.5], "n": 64})
+steps["widom"] = loaded()
+cli.run({"command": "sections", "symbol": powerlog, "n_grid": [16]})
+steps["sections"] = loaded()
+print(json.dumps(steps))
+"""
+
+
 def test_cli_import_loads_no_heavy_scipy_modules():
-    # the benchmark's setup_s times a fresh `import dirspace.cli`; each of
-    # these subpackages costs tens of milliseconds to import
-    code = "import sys, dirspace.cli; print(' '.join(sys.modules))"
+    # the benchmark's setup_s times a fresh `import dirspace.cli` plus one job.
+    # The package reads scipy.linalg and scipy.special as attributes of
+    # `scipy`, whose __getattr__ imports a submodule on first access, so the
+    # Widom route (README's classify config, an rkt probe) loads neither; the
+    # other subpackages cost tens of milliseconds each and are never needed
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
-    packages = {".".join(name.split(".")[:2]) for name in loaded.split()}
-    assert packages & {"scipy.sparse", "scipy.fft", "scipy.signal", "scipy.integrate"} == set()
+    out = subprocess.run([sys.executable, "-c", _LOADED_SCIPY], env=env, capture_output=True, text=True, check=True)
+    steps = json.loads(out.stdout)
+    never = {"scipy.sparse", "scipy.fft", "scipy.signal", "scipy.integrate"}
+    for step in ("import", "widom"):
+        assert set(steps[step]) & (never | {"scipy.linalg", "scipy.special"}) == set(), step
+    # the first Golub-Kahan-Lanczos solve loads scipy.linalg
+    assert "scipy.linalg" in steps["sections"]
+    assert set(steps["sections"]) & never == set()
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
