@@ -74,5 +74,5 @@ def unit_start_vector(n: int) -> np.ndarray:
     solve: seed 0x1D5EED, stream 0."""
     # an entry is 0 only where the draw is exactly 1/2, which happens with
     # probability 2^-53 (see uniforms); the first 2^20 entries have no zero
-    v = 2.0 * uniforms(0x1D5EED, 0, np.arange(n)) - 1.0
+    v = uniform_symmetric(0x1D5EED, 0, np.arange(n))
     return v / np.sqrt(np.sum(v * v))

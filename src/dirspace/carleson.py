@@ -32,7 +32,6 @@ from . import _accel
 from .coeffspace import TaylorPoly, weight_sequence
 from .criteria import ClassReport, WidomTail
 from .operators import LinearMap, _binary_normalized, top_singular_value
-from .symbols import _real_or_complex
 
 # the x-norm of a borderline-unbounded symbol grows additively in log N,
 # so consecutive-doubling ratios tend to 1; growth is judged over the
@@ -50,11 +49,10 @@ def _disk_power_weights(count: int, delta: float | None = None) -> np.ndarray:
     delta = None means the full disk (w_p = 1/(p+1)); otherwise the annulus
     1 - delta < |z| < 1 (w_p = (1 - (1-delta)^(2p+2)) / (p+1)).
     """
-    p = np.arange(count, dtype=np.float64)
-    w = 1.0 / (p + 1.0)
+    w = weight_sequence("bergman", count - 1)
     if delta is not None:
-        rho = 1.0 - delta
-        w = w * (1.0 - rho ** (2.0 * p + 2.0))
+        p = np.arange(count, dtype=np.float64)
+        w = w * (1.0 - (1.0 - delta) ** (2.0 * p + 2.0))
     return w
 
 
@@ -64,15 +62,10 @@ def symbol_poly(s, degree: int) -> TaylorPoly:
     return TaylorPoly(np.conj(s.values(np.arange(degree + 1))))
 
 
-def _derivative_coeffs(b: TaylorPoly) -> np.ndarray:
-    """Taylor coefficients c of b', real when b is."""
-    return _real_or_complex(b.derivative().coeffs)
-
-
 def symbol_gram(b: TaylorPoly, n: int, delta: float | None = None) -> np.ndarray:
     """Exact Gram matrix of int z^j conj(z)^k |b'|^2 dA, j,k = 0..n, over the
     disk (delta None) or the annulus 1 - delta < |z| < 1."""
-    c = _derivative_coeffs(b)
+    c = b.derivative().coeffs
     g = _accel.gram(c, n, _disk_power_weights(n + c.shape[0], delta))
     return 0.5 * (g + g.conj().T)  # exact formula is Hermitian; kill rounding skew
 
@@ -84,7 +77,7 @@ def _carleson_solve(b: TaylorPoly, n: int, delta: float | None = None) -> tuple[
     c is scaled exactly by a power of two to a largest modulus in [1/2, 1), so
     the solve neither underflows nor overflows; b' = 0 gives exactly 0.0.
     """
-    c, exponent = _binary_normalized(_derivative_coeffs(b))
+    c, exponent = _binary_normalized(b.derivative().coeffs)
     rows = n + c.shape[0]
     root_w = np.sqrt(_disk_power_weights(rows, delta))
     root_d_inv = 1.0 / np.sqrt(weight_sequence("dirichlet-exact", n))

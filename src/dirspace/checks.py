@@ -31,8 +31,8 @@ def seeded_uniforms(seed: int, stream: int, count: int) -> np.ndarray:
 
 
 def random_poly(seed: int, stream: int, degree: int) -> TaylorPoly:
-    re = 2.0 * _rng.uniforms(seed, stream, np.arange(degree + 1)) - 1.0
-    im = 2.0 * _rng.uniforms(seed ^ 0x1111, stream, np.arange(degree + 1)) - 1.0
+    re = _rng.uniform_symmetric(seed, stream, np.arange(degree + 1))
+    im = _rng.uniform_symmetric(seed ^ 0x1111, stream, np.arange(degree + 1))
     return TaylorPoly(re + 1j * im)
 
 
@@ -136,8 +136,8 @@ def _reproducing_kernel(polys):
 def _duality(symbols, dims):
     worst_entry, worst_sigma = 0.0, 0.0
     for i in range(symbols):
-        re = 2.0 * seeded_uniforms(777, i, 2 * dims[-1] - 1) - 1.0
-        im = 2.0 * seeded_uniforms(778, i, 2 * dims[-1] - 1) - 1.0
+        re = _rng.uniform_symmetric(777, i, np.arange(2 * dims[-1] - 1))
+        im = _rng.uniform_symmetric(778, i, np.arange(2 * dims[-1] - 1))
         s = SymbolSeq.explicit(re + 1j * im)
         for n in dims:
             a = operators.section_matrix(s, "hankel", "dirichlet-section", n)
@@ -249,12 +249,12 @@ def _fourth_moment(vectors, mc_len, samples):
     ok = True
     for i in range(vectors):
         length = 1 + int(seeded_uniforms(61, i, 1)[0] * 14)
-        a = 2.0 * seeded_uniforms(62, i, length) - 1.0
+        a = _rng.uniform_symmetric(62, i, np.arange(length))
         exact = stochastic.fourth_moment_exact_rademacher(a)
         closed = 3.0 * np.sum(a * a) ** 2 - 2.0 * np.sum(a**4)
         ok = ok and abs(exact - closed) <= 1e-12 * closed
         ok = ok and exact <= 3.0 * np.sum(a * a) ** 2 * (1.0 + 1e-12)
-    a = 2.0 * seeded_uniforms(63, 0, mc_len) - 1.0
+    a = _rng.uniform_symmetric(63, 0, np.arange(mc_len))
     est, se = stochastic.fourth_moment_mc(a, stochastic.DistTag("gaussian"), samples, stochastic.RngSpec(64, 0))
     bound = 3.0 * np.sum(np.abs(a) ** 2) ** 2
     ok = ok and est <= bound + 4.0 * se

@@ -583,6 +583,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: precondition failed: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
 
     payload = serialize(report, args.format)
     if args.out is None and args.format == "json":

@@ -8,6 +8,7 @@ conventions coexist on purpose and both are exposed:
   finite-section matrices; equivalent to exact within a factor sqrt(2))
 * ``bergman``:           w_n = 1 / (n + 1)
 
+Coefficients are stored as float64 unless a value is complex (_real_or_complex).
 Norm and inner-product accumulations use numpy's pairwise summation, which
 is deterministic for a fixed array length.
 """
@@ -21,6 +22,15 @@ import numpy as np
 SPACE_TAGS = ("dirichlet-exact", "dirichlet-section", "bergman")
 
 
+def _real_or_complex(values) -> np.ndarray:
+    """A copy of values as float64 when every imaginary part is 0, otherwise
+    as complex128."""
+    arr = np.asarray(values)
+    if np.iscomplexobj(arr) and arr.imag.any():
+        return arr.astype(np.complex128)
+    return arr.real.astype(np.float64)
+
+
 @dataclass(frozen=True)
 class TaylorPoly:
     """Truncated power series a_0 + a_1 z + ... + a_N z^N.
@@ -31,9 +41,9 @@ class TaylorPoly:
     coeffs: np.ndarray = field()
 
     def __post_init__(self):
-        arr = np.atleast_1d(np.asarray(self.coeffs, dtype=np.complex128)).ravel()
+        arr = _real_or_complex(np.atleast_1d(self.coeffs).ravel())
         if arr.size == 0:
-            arr = np.zeros(1, dtype=np.complex128)
+            arr = np.zeros(1)
         object.__setattr__(self, "coeffs", arr)
 
     @property
@@ -42,10 +52,10 @@ class TaylorPoly:
 
     @classmethod
     def zero(cls, degree: int = 0) -> "TaylorPoly":
-        return cls(np.zeros(degree + 1, dtype=np.complex128))
+        return cls(np.zeros(degree + 1))
 
     def truncate(self, degree: int) -> "TaylorPoly":
-        c = np.zeros(degree + 1, dtype=np.complex128)
+        c = np.zeros(degree + 1, dtype=self.coeffs.dtype)
         take = min(degree, self.degree) + 1
         c[:take] = self.coeffs[:take]
         return TaylorPoly(c)
@@ -120,12 +130,16 @@ def normalized_kernel_coeffs(t: float, degree: int) -> tuple[TaylorPoly, float]:
     truncation satisfies  norm(poly)^2 <= 1 <= norm(poly)^2 + s2 * tail.
     """
     t = float(t)
-    if not 0.0 <= t < 1.0:
-        raise ValueError("kernel parameter must satisfy 0 <= t < 1")
-    norm_sq = 1.0 + np.log1p(t * t / (1.0 - t * t))
-    scale = 1.0 / np.sqrt(norm_sq)
+    scale = 1.0 / np.sqrt(_kernel_norm_sq(t))
     base = kernel_coeffs(t, degree)
     return TaylorPoly(base.coeffs * scale), _kernel_tail_bound(t, degree)
+
+
+def _kernel_norm_sq(t: float) -> float:
+    """K_t(t) = 1 + log(1/(1-t^2)) = ||K_t||^2 (exact Dirichlet) for 0 <= t < 1."""
+    if not 0.0 <= t < 1.0:
+        raise ValueError("kernel parameter must satisfy 0 <= t < 1")
+    return 1.0 + np.log1p(t * t / (1.0 - t * t))
 
 
 def _kernel_tail_bound(t: float, degree: int) -> float:

@@ -19,9 +19,10 @@ import numpy as np
 from . import _rng, criteria, operators
 from .symbols import SymbolSeq
 
-_DIST_NAMES = ("rademacher", "uniform-symmetric", "gaussian")
-# E[X^4] of the unnormalized base distributions
-_BASE_FOURTH = {"rademacher": 1.0, "uniform-symmetric": 1.0 / 5.0, "gaussian": 3.0}
+# the sampler of each distribution (its _rng name, read per call) and E[X^4]
+# of its unnormalized base
+_DISTS = {"rademacher": ("rademacher", 1.0), "uniform-symmetric": ("uniform_symmetric", 1.0 / 5.0),
+          "gaussian": ("normals", 3.0)}
 
 
 @dataclass(frozen=True)
@@ -32,20 +33,15 @@ class DistTag:
     normalized: bool = True
 
     def __post_init__(self):
-        if self.name not in _DIST_NAMES:
-            raise ValueError(f"unknown distribution {self.name!r}; choose from {_DIST_NAMES}")
+        if self.name not in _DISTS:
+            raise ValueError(f"unknown distribution {self.name!r}; choose from {tuple(_DISTS)}")
 
     @property
     def scale(self) -> float:
-        return _BASE_FOURTH[self.name] ** -0.25 if self.normalized else 1.0
+        return _DISTS[self.name][1] ** -0.25 if self.normalized else 1.0
 
     def sample(self, seed: int, stream: int, indices) -> np.ndarray:
-        if self.name == "rademacher":
-            x = _rng.rademacher(seed, stream, indices)
-        elif self.name == "uniform-symmetric":
-            x = _rng.uniform_symmetric(seed, stream, indices)
-        else:
-            x = _rng.normals(seed, stream, indices)
+        x = getattr(_rng, _DISTS[self.name][0])(seed, stream, indices)
         return x * self.scale if self.scale != 1.0 else x
 
 

@@ -30,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coeffspace import _real_or_complex
+
 MONOTONE_DECREASING = "decreasing-positive"
 MONOTONE_GENERAL = "general"
 
@@ -55,15 +57,6 @@ class WidomTail:
     @property
     def certified(self) -> bool:
         return np.isfinite(self.upper)
-
-
-def _real_or_complex(values) -> np.ndarray:
-    """A copy of values as float64 when every imaginary part is 0, otherwise
-    as complex128."""
-    arr = np.asarray(values)
-    if np.iscomplexobj(arr) and np.any(arr.imag != 0.0):
-        return arr.astype(np.complex128)
-    return arr.real.astype(np.float64)
 
 
 def _weight_values(weight: str, n: np.ndarray) -> np.ndarray:

@@ -176,6 +176,23 @@ def test_taylor_poly_helpers():
     assert p.truncate(4).coeffs == pytest.approx([1.0, 2.0, 3.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize(
+    "coeffs, dtype",
+    [
+        ([1.0, -2.0, 0.5], np.float64),
+        ([1.0 + 0j, -2.0 + 0j, 0.5 + 0j], np.float64),  # every imaginary part 0
+        ([1.0 + 1j, -2.0, 0.5 - 3j], np.complex128),
+    ],
+    ids=["real", "complex-zero-imag", "complex"],
+)
+def test_taylor_poly_stores_float64_unless_a_value_is_complex(coeffs, dtype):
+    p = TaylorPoly(np.array(coeffs))
+    assert p.coeffs.dtype == dtype
+    assert np.array_equal(p.coeffs, coeffs)
+    for q in (p.truncate(1), p.truncate(5), p.derivative()):
+        assert q.coeffs.dtype == dtype
+
+
 def test_taylor_poly_degenerate_inputs():
     empty = TaylorPoly([])
     assert empty.degree == 0 and empty.coeffs[0] == 0.0
