@@ -6,7 +6,8 @@ Usage:
                        [--seed-override U64]
 
 Commands: classify, sections, rkt, moments, carleson, random-sim, doublesum,
-demo.  Exit codes: 0 success, 1 a demo check failed, 2 usage/config error.
+demo.  Exit codes: 0 success, 1 a demo check failed, 2 usage/config error
+or an output that cannot be written.
 
 Config schema (JSON object; fields by command, every number finite, all
 numeric grids strictly increasing):
@@ -45,9 +46,10 @@ numeric grids strictly increasing):
     preset      demo only; one of the twelve check names in checks.py
                 (e.g. "hilbert", "widom-ladder") or "all"
 
-Top-level fields are checked per command, and for classify per route: a
-config holds only the fields its command and route read, plus command and
-seed (--seed-override may set seed for any command).  The Widom route of
+Each command's entry in _HANDLERS lists the top-level fields it reads, each
+with its parser and default, and for classify one entry per route: a config
+holds only the fields its command and route read, plus command and seed
+(--seed-override may set seed for any command).  The Widom route of
 classify reads symbol or measure, kind, route and classify; the Carleson
 route reads symbol, kind (hankel only), route and n_grid (default [64, 128,
 256, 512]) and gives the verdict and xnorm_vs_degree curve of the carleson
@@ -55,7 +57,8 @@ command, without its delta sweep.  Symbol, rule, {"re", "im"}, measure,
 atom and density objects, like classify and power, take only the fields
 listed.  An error names the nested path of its field (e.g. config.n_gird,
 symbol.base.beta, symbol.measure.densities[0].gama), or of its object when
-a constructor rejects the value's range.
+a constructor rejects the value's range.  Every field is parsed before the
+command runs; a config with two faults may report either one.
 
 Every reported norm carries its section dimension; every tail carries its
 bracket; every stochastic value carries its seed.  Reports are byte-identical
@@ -88,24 +91,35 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# config access helpers
+# config parsing: each config object is read by a spec {field: (parser,
+# default)}; parser(value, path) returns the field's parsed value
 # ---------------------------------------------------------------------------
 
-
-def _require(cfg: dict, key: str, path: str = ""):
-    if key not in cfg:
-        raise ConfigError(f"{path}{key}", "required field missing")
-    return cfg[key]
+_REQUIRED = object()  # the default of a required field
 
 
-def _fields(obj, path: str, allowed: tuple) -> dict:
-    """obj, which must be an object with no field outside ``allowed``."""
+def _object(obj, path: str, spec: dict) -> dict:
+    """{field: parsed value} for each field of spec, in spec order, with the
+    field's default where obj lacks it; obj must be an object with no field
+    outside spec.  path is "" for the top-level config."""
     if not isinstance(obj, dict):
         raise ConfigError(path, "expected an object")
     for name in obj:
-        if name not in allowed:
-            raise ConfigError(f"{path}.{name}", f"unknown field; expected one of {list(allowed)}")
-    return obj
+        if name not in spec:
+            raise ConfigError(f"{path or 'config'}.{name}", f"unknown field; expected one of {list(spec)}")
+    prefix, out = f"{path}." if path else "", {}
+    for name, (parse, default) in spec.items():
+        if name in obj:
+            out[name] = parse(obj[name], prefix + name)
+        elif default is _REQUIRED:
+            raise ConfigError(prefix + name, "required field missing")
+        else:
+            out[name] = default
+    return out
+
+
+def _keep(value, path: str):
+    return value
 
 
 def _as_int(value, path: str, low: int | None = None) -> int:
@@ -117,6 +131,10 @@ def _as_int(value, path: str, low: int | None = None) -> int:
     return int(value)
 
 
+def _int_from(low: int):
+    return lambda value, path: _as_int(value, path, low)
+
+
 def _as_number(value, path: str) -> float:
     # json.load reads NaN and +-Infinity; the bound fails for them and for
     # integers past the largest float
@@ -125,26 +143,25 @@ def _as_number(value, path: str) -> float:
     return float(value)
 
 
-def _numbers(obj, path: str, defaults: dict, other: tuple = ()) -> list:
-    """The number obj[key] for each key of ``defaults``, in order, required
-    where the default is None; obj may hold no field outside defaults and
-    ``other``."""
-    _fields(obj, path, (*other, *defaults))
-    return [
-        _as_number(_require(obj, key, f"{path}.") if default is None else obj.get(key, default), f"{path}.{key}")
-        for key, default in defaults.items()
-    ]
+def _as_bool(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(path, "expected a boolean")
+    return value
+
+
+_NUMBER = (_as_number, _REQUIRED)
+_COMPLEX = {"re": _NUMBER, "im": (_as_number, 0.0)}
 
 
 def _as_value(value, path: str) -> complex | float:
     """A symbol value: a number or {"re": f, "im": f=0}."""
     if not isinstance(value, dict):
         return _as_number(value, path)
-    re, im = _fields(value, path, ("re", "im")).get("re"), value.get("im", 0.0)
+    re, im = value.get("re"), value.get("im")
     # the bulk of long value lists: no path to build
-    if type(re) is float and type(im) is float and abs(re) <= _FLOAT_MAX and abs(im) <= _FLOAT_MAX:
+    if len(value) == 2 and type(re) is float and type(im) is float and abs(re) <= _FLOAT_MAX and abs(im) <= _FLOAT_MAX:
         return complex(re, im)
-    return complex(*_numbers(value, path, {"re": None, "im": 0.0}))
+    return complex(*_object(value, path, _COMPLEX).values())
 
 
 def _as_list(value, path: str, item) -> list:
@@ -152,6 +169,10 @@ def _as_list(value, path: str, item) -> list:
     if not isinstance(value, (list, tuple)):
         raise ConfigError(path, "expected an array")
     return [item(v, f"{path}[{i}]") for i, v in enumerate(value)]
+
+
+def _list_of(item):
+    return lambda value, path: _as_list(value, path, item)
 
 
 def _as_grid(value, path: str, integer: bool = True, low: int | None = None) -> list:
@@ -165,12 +186,53 @@ def _as_grid(value, path: str, integer: bool = True, low: int | None = None) -> 
     return out
 
 
-def _cutoff_grid(value, n: int) -> list:
+def _grid_from(low: int):
+    return lambda value, path: _as_grid(value, path, low=low)
+
+
+def _kernel_points(value, path: str) -> list:
+    t_grid = _as_grid(value, path, integer=False)
+    if t_grid[0] < 0.0 or t_grid[-1] >= 1.0:
+        raise ConfigError(path, "kernel points must lie in [0, 1)")
+    return t_grid
+
+
+def _annulus_widths(value, path: str) -> list:
+    delta_grid = _as_grid(value, path, integer=False)
+    if delta_grid[0] <= 0.0 or delta_grid[-1] >= 1.0:
+        raise ConfigError(path, "annulus widths must lie in (0, 1)")
+    return delta_grid
+
+
+def _check_cutoffs(m_grid: list, n: int) -> None:
     """Tail cutoffs m_grid for sections of dimension n: 0 <= m < n."""
-    m_grid = _as_grid(value, "m_grid", low=0)
     if m_grid[-1] >= n:
         raise ConfigError("m_grid", f"cutoffs must stay below the section dimension {n}")
-    return m_grid
+
+
+def _as_tolerance(value, path: str) -> float:
+    tol = _as_number(value, path)
+    if tol <= 0.0:
+        raise ConfigError(path, "tolerance must be positive")
+    return tol
+
+
+def _as_kind(value, path: str) -> str:
+    if value not in ("hankel", "cesaro"):
+        raise ConfigError(path, f"expected 'hankel' or 'cesaro', got {value!r}")
+    return value
+
+
+def _as_preset(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(path, f"expected a check name or 'all', got {value!r}")
+    return value
+
+
+def _options(spec: dict, make):
+    """A parser of an object whose fields all default to None, which stands
+    for make's own default: make(**the fields given)."""
+    return lambda value, path: make(**{k: v for k, v in _object(value, path, spec).items() if v is not None})
 
 
 def _build(path: str, make, *args):
@@ -181,102 +243,60 @@ def _build(path: str, make, *args):
         raise ConfigError(path, str(exc)) from exc
 
 
+# the stochastic fields, shared by the randomized symbol and random-sim
+_DIST = {"dist": (_keep, "rademacher"), "normalized": (_as_bool, True)}
+_SEED = {"seed": (_as_int, _REQUIRED), "stream": (_as_int, 0)}
+
+
+_RULE = {"decay": _NUMBER, "power": (_as_number, 0.0), "scale": (_as_number, 1.0)}
+
+
+def _rule(value, path: str):
+    return _object(value, path, _RULE).values()
+
+
 def _parse_symbol(obj, path: str = "symbol") -> symbols.SymbolSeq:
     if not isinstance(obj, dict):
         raise ConfigError(path, "expected an object")
-    kind, p = obj.get("kind"), f"{path}."
+    kind = obj.get("kind")
+
+    def fields(**spec) -> list:  # obj's fields besides kind, in spec order
+        return list(_object(obj, path, {"kind": (_keep, None), **spec}).values())[1:]
+
     if kind == "explicit":
-        _fields(obj, path, ("kind", "values"))
-        return symbols.SymbolSeq.explicit(_as_list(_require(obj, "values", p), f"{p}values", _as_value))
+        return symbols.SymbolSeq.explicit(*fields(values=(_list_of(_as_value), _REQUIRED)))
     if kind == "powerlog":
-        args = _numbers(obj, path, {"alpha": None, "beta": None, "scale": 1.0}, ("kind",))
-        return _build(path, symbols.SymbolSeq.powerlog, *args)
+        return _build(path, symbols.SymbolSeq.powerlog, *fields(alpha=_NUMBER, beta=_NUMBER, scale=(_as_number, 1.0)))
     if kind == "moments":
-        _fields(obj, path, ("kind", "measure"))
-        return symbols.SymbolSeq.from_measure(_parse_measure(_require(obj, "measure", p), f"{p}measure"))
+        return symbols.SymbolSeq.from_measure(*fields(measure=(_parse_measure, _REQUIRED)))
     if kind == "lacunary" and "rule" in obj:
-        _fields(obj, path, ("kind", "rule", "start", "q"))
-        rule = _numbers(obj["rule"], f"{p}rule", {"decay": None, "power": 0.0, "scale": 1.0})
-        start, q = _as_int(obj.get("start", 1), f"{p}start"), _as_number(obj.get("q", 2.0), f"{p}q")
+        rule, start, q = fields(rule=(_rule, _REQUIRED), start=(_as_int, 1), q=(_as_number, 2.0))
         return _build(path, symbols.SymbolSeq.lacunary_rule, start, q, *rule)
     if kind == "lacunary":
-        _fields(obj, path, ("kind", "support", "values"))
-        support = _as_list(_require(obj, "support", p), f"{p}support", _as_int)
-        values = _as_list(_require(obj, "values", p), f"{p}values", _as_number)
+        support, values = fields(support=(_list_of(_as_int), _REQUIRED), values=(_list_of(_as_number), _REQUIRED))
         return _build(path, symbols.SymbolSeq.lacunary, support, values)
     if kind == "randomized":
-        _fields(obj, path, ("kind", "base", "dist", "normalized", "seed", "stream"))
-        base = _parse_symbol(_require(obj, "base", p), f"{p}base")
-        rng = _parse_seed(obj, p)
-        return symbols.SymbolSeq.randomized(base, _parse_dist(obj, p), rng.seed, rng.stream)
+        base, dist, normalized, seed, stream = fields(base=(_parse_symbol, _REQUIRED), **_DIST, **_SEED)
+        dist = _build(f"{path}.dist", stochastic.DistTag, dist, normalized)
+        return symbols.SymbolSeq.randomized(base, dist, seed, stream)
     raise ConfigError(path, f"unknown symbol kind {kind!r}; expected explicit, powerlog, moments, lacunary or randomized")
 
 
-def _parse_density(obj, path: str) -> measures.Density:
-    args = _numbers(obj, path, {"c": None, "gamma": 0.0, "delta": 0.0, "kappa": 0.0})
-    return _build(path, measures.Density, *args)
+_ATOM = {"loc": _NUMBER, "mass": _NUMBER}
+_DENSITY = {"c": _NUMBER, "gamma": (_as_number, 0.0), "delta": (_as_number, 0.0), "kappa": (_as_number, 0.0)}
+_MEASURE = {
+    "atoms": (_list_of(lambda v, p: list(_object(v, p, _ATOM).values())), ()),
+    "densities": (_list_of(lambda v, p: _build(p, measures.Density, *_object(v, p, _DENSITY).values())), ()),
+}
 
 
 def _parse_measure(obj, path: str = "measure") -> measures.MeasureSpec:
     if isinstance(obj, dict) and "named" in obj:
-        _fields(obj, path, ("named",))
-        if obj["named"] != "lebesgue":
-            raise ConfigError(f"{path}.named", f"unknown named measure {obj['named']!r}; expected 'lebesgue'")
+        named = _object(obj, path, {"named": (_keep, None)})["named"]
+        if named != "lebesgue":
+            raise ConfigError(f"{path}.named", f"unknown named measure {named!r}; expected 'lebesgue'")
         return measures.MeasureSpec.lebesgue()
-    _fields(obj, path, ("atoms", "densities"))
-    atoms = _as_list(obj.get("atoms", []), f"{path}.atoms", lambda a, at: _numbers(a, at, {"loc": None, "mass": None}))
-    densities = _as_list(obj.get("densities", []), f"{path}.densities", _parse_density)
-    return _build(path, measures.MeasureSpec, atoms, densities)
-
-
-def _parse_kind(cfg: dict) -> str:
-    kind = cfg.get("kind", "hankel")
-    if kind not in ("hankel", "cesaro"):
-        raise ConfigError("kind", f"expected 'hankel' or 'cesaro', got {kind!r}")
-    return kind
-
-
-def _sub_config(cfg: dict, key: str, fields: tuple) -> dict:
-    """The optional object cfg[key]; a field outside ``fields`` is an error."""
-    return _fields(cfg.get(key, {}), key, fields)
-
-
-def _parse_classify_cfg(cfg: dict) -> criteria.ClassifyConfig:
-    sub = _sub_config(cfg, "classify", ("m_grid", "nmax"))
-    kwargs = {}
-    if "m_grid" in sub:
-        kwargs["m_grid"] = tuple(_as_grid(sub["m_grid"], "classify.m_grid", low=0))
-    if "nmax" in sub:
-        kwargs["nmax"] = _as_int(sub["nmax"], "classify.nmax", low=0)
-    return criteria.ClassifyConfig(**kwargs)
-
-
-def _parse_power(cfg: dict) -> dict:
-    sub = _sub_config(cfg, "power", ("tol", "max_iter"))
-    out = {}
-    if "tol" in sub:
-        out["tol"] = _as_number(sub["tol"], "power.tol")
-        if out["tol"] <= 0.0:
-            raise ConfigError("power.tol", "tolerance must be positive")
-    if "max_iter" in sub:
-        out["max_iter"] = _as_int(sub["max_iter"], "power.max_iter", low=1)
-    return out
-
-
-def _degree_grid(cfg: dict, default: list) -> list:
-    return _as_grid(cfg.get("n_grid", default), "n_grid", low=0)
-
-
-def _parse_dist(cfg: dict, prefix: str = "") -> stochastic.DistTag:
-    normalized = cfg.get("normalized", True)
-    if not isinstance(normalized, bool):
-        raise ConfigError(f"{prefix}normalized", "expected a boolean")
-    return _build(f"{prefix}dist", stochastic.DistTag, cfg.get("dist", "rademacher"), normalized)
-
-
-def _parse_seed(cfg: dict, prefix: str = "") -> stochastic.RngSpec:
-    seed = _as_int(_require(cfg, "seed", prefix), f"{prefix}seed")
-    return stochastic.RngSpec(seed, _as_int(cfg.get("stream", 0), f"{prefix}stream"))
+    return _build(path, measures.MeasureSpec, *_object(obj, path, _MEASURE).values())
 
 
 def _curve(label: str, rows, meta=None) -> dict:
@@ -304,44 +324,35 @@ def _profile_rows(profile):
 
 
 # ---------------------------------------------------------------------------
-# command handlers
+# command handlers: each takes its command's parsed fields (and ignores the
+# command, route and seed fields it does not use)
 # ---------------------------------------------------------------------------
 
 
-def _run_classify(cfg: dict) -> tuple[dict, list]:
-    if ("symbol" in cfg) == ("measure" in cfg):
+def _run_classify(symbol, measure, kind, classify, **_) -> tuple[dict, list]:
+    if (symbol is None) == (measure is None):
         raise ConfigError("symbol", "provide exactly one of 'symbol' or 'measure'")
-    kind = _parse_kind(cfg)
-    ccfg = _parse_classify_cfg(cfg)
-    if "symbol" in cfg:
-        sym = _parse_symbol(cfg["symbol"])
-    else:
-        sym = symbols.SymbolSeq.from_measure(_parse_measure(cfg["measure"]))
-    report = criteria.classify(sym, kind, ccfg)
-    curves = [_curve("widom_profile", _profile_rows(report.profile), {"nmax": ccfg.nmax})]
+    sym = symbol if symbol is not None else symbols.SymbolSeq.from_measure(measure)
+    report = criteria.classify(sym, kind, classify)
+    curves = [_curve("widom_profile", _profile_rows(report.profile), {"nmax": classify.nmax})]
     return _verdict(report), curves
 
 
-def _run_classify_carleson(cfg: dict) -> tuple[dict, list]:
-    if _parse_kind(cfg) != "hankel":
+def _run_classify_carleson(symbol, kind, n_grid, **_) -> tuple[dict, list]:
+    if kind != "hankel":
         raise ConfigError("kind", "the carleson route classifies Hankel operators only")
-    report, _, curves = _carleson_verdict(cfg, [64, 128, 256, 512])
+    report, _b_top, curves = _carleson_verdict(symbol, n_grid)
     return _verdict(report), curves
 
 
-def _run_sections(cfg: dict) -> tuple[dict, list]:
-    sym = _parse_symbol(_require(cfg, "symbol"))
-    kind = _parse_kind(cfg)
-    power = _parse_power(cfg)
-    n_grid = _as_grid(cfg.get("n_grid", [64, 128, 256, 512, 1024]), "n_grid", low=1)
+def _run_sections(symbol, kind, power, n_grid, m_grid, **_) -> tuple[dict, list]:
     n_top = max(n_grid)
-    m_grid = cfg.get("m_grid")
     if m_grid is not None:
-        m_grid = _cutoff_grid(m_grid, n_top)
-    norms = [operators.tail_section_norm(sym, kind, 0, n, **power) for n in n_grid]
+        _check_cutoffs(m_grid, n_top)
+    norms = [operators.tail_section_norm(symbol, kind, 0, n, **power) for n in n_grid]
     curves = [_point_curve("section_norm_vs_n", n_grid, norms, {"weight": "dirichlet-section"})]
     if m_grid is not None:
-        tails = [operators.tail_section_norm(sym, kind, m, n_top, **power) for m in m_grid]
+        tails = [operators.tail_section_norm(symbol, kind, m, n_top, **power) for m in m_grid]
         curves.append(_point_curve("tail_norm_vs_m", m_grid, tails, {"n": n_top}))
     results = {
         "top_section_norm": norms[-1],
@@ -351,14 +362,8 @@ def _run_sections(cfg: dict) -> tuple[dict, list]:
     return results, curves
 
 
-def _run_rkt(cfg: dict) -> tuple[dict, list]:
-    sym = _parse_symbol(_require(cfg, "symbol"))
-    kind = _parse_kind(cfg)
-    t_grid = _as_grid(_require(cfg, "t_grid"), "t_grid", integer=False)
-    if t_grid[0] < 0.0 or t_grid[-1] >= 1.0:
-        raise ConfigError("t_grid", "kernel points must lie in [0, 1)")
-    n = _as_int(cfg.get("n", 256), "n", low=0)
-    probe = criteria.rkt_probe(sym, kind, t_grid, n)
+def _run_rkt(symbol, kind, t_grid, n, **_) -> tuple[dict, list]:
+    probe = criteria.rkt_probe(symbol, kind, t_grid, n)
     curves = [
         _point_curve("rkt_estimate_vs_t", t_grid, [r.estimate for r in probe.rows], {"n": n}),
         _point_curve("kernel_tail_bound_vs_t", t_grid, [r.kernel_tail for r in probe.rows], {"n": n}),
@@ -368,39 +373,27 @@ def _run_rkt(cfg: dict) -> tuple[dict, list]:
     return {"statistic": probe.statistic, "notes": probe.notes}, curves
 
 
-def _run_moments(cfg: dict) -> tuple[dict, list]:
-    spec = _parse_measure(_require(cfg, "measure"))
-    n = _as_int(cfg.get("n", 64), "n", low=0)
-    ccfg = _parse_classify_cfg(cfg)
-    sym = symbols.SymbolSeq.from_measure(spec)
-    profile = criteria.widom_profile(sym, ccfg.m_grid, ccfg.nmax)
+def _run_moments(measure, n, classify, **_) -> tuple[dict, list]:
+    sym = symbols.SymbolSeq.from_measure(measure)
+    profile = criteria.widom_profile(sym, classify.m_grid, classify.nmax)
     curves = [
         _point_curve("moments_vs_n", range(n + 1), sym.values(np.arange(n + 1)).real),
-        _curve("widom_profile", _profile_rows(profile), {"nmax": ccfg.nmax}),
+        _curve("widom_profile", _profile_rows(profile), {"nmax": classify.nmax}),
     ]
-    return {"total_mass": spec.total_mass, "support_sup": spec.support_sup}, curves
+    return {"total_mass": measure.total_mass, "support_sup": measure.support_sup}, curves
 
 
-def _carleson_verdict(cfg: dict, default_n_grid: list):
-    """The Carleson-route report of cfg's symbol over its test degrees, the
+def _carleson_verdict(sym: symbols.SymbolSeq, n_grid: list):
+    """The Carleson-route report of sym over the test degrees n_grid, the
     symbol's polynomial b of the top degree and the xnorm_vs_degree curve;
     the verdict's profile is the x-norm sweep, so each x-norm is solved once."""
-    sym = _parse_symbol(_require(cfg, "symbol"))
-    n_grid = _degree_grid(cfg, default_n_grid)
     b_top = carleson.symbol_poly(sym, max(n_grid))
     report = carleson.classify_hankel_general(b_top, n_grid)
     return report, b_top, [_curve("xnorm_vs_degree", _profile_rows(report.profile))]
 
 
-def _run_carleson(cfg: dict) -> tuple[dict, list]:
-    delta_grid = _as_grid(
-        cfg.get("delta_grid", sorted(carleson.DELTA_SCHEDULE)),
-        "delta_grid",
-        integer=False,
-    )
-    if delta_grid[0] <= 0.0 or delta_grid[-1] >= 1.0:
-        raise ConfigError("delta_grid", "annulus widths must lie in (0, 1)")
-    report, b_top, curves = _carleson_verdict(cfg, [64, 128, 256])
+def _run_carleson(symbol, n_grid, delta_grid, **_) -> tuple[dict, list]:
+    report, b_top, curves = _carleson_verdict(symbol, n_grid)
     restricted = [
         report.restricted_norm  # the verdict's boundary test, same solve
         if delta == carleson.VANISH_DELTA and report.restricted_norm is not None
@@ -411,18 +404,15 @@ def _run_carleson(cfg: dict) -> tuple[dict, list]:
     return _verdict(report), curves
 
 
-def _run_random_sim(cfg: dict) -> tuple[dict, list]:
-    sym = _parse_symbol(_require(cfg, "symbol"))
-    dist = _parse_dist(cfg)
-    rng = _parse_seed(cfg)
-    replicas = _as_int(cfg.get("replicas", 16), "replicas", low=1)
-    n = _as_int(cfg.get("n", 512), "n", low=1)
-    m_grid = _cutoff_grid(cfg.get("m_grid", sorted({n // 8, n // 4, n // 2})), n)
-    power = _parse_power(cfg)
-    report = stochastic.random_tail_experiment(sym, dist, replicas, m_grid, n, rng, **power)
+def _run_random_sim(symbol, dist, normalized, seed, stream, replicas, n, m_grid, power, **_) -> tuple[dict, list]:
+    if m_grid is None:
+        m_grid = sorted({n // 8, n // 4, n // 2})
+    _check_cutoffs(m_grid, n)
+    dist, rng = _build("dist", stochastic.DistTag, dist, normalized), stochastic.RngSpec(seed, stream)
+    report = stochastic.random_tail_experiment(symbol, dist, replicas, m_grid, n, rng, **power)
     rand_rows = [[row.m, row.q25, row.median, row.q75] for row in report.rows]
     curves = [
-        _curve("randomized_tail_quartiles", rand_rows, {"n": n, "replicas": replicas, "seed": rng.seed}),
+        _curve("randomized_tail_quartiles", rand_rows, {"n": n, "replicas": replicas, "seed": seed}),
         _point_curve("deterministic_tail", m_grid, [row.deterministic for row in report.rows], {"n": n}),
     ]
     results = {
@@ -434,27 +424,21 @@ def _run_random_sim(cfg: dict) -> tuple[dict, list]:
         "median_over_deterministic": [
             (row.median / row.deterministic) if row.deterministic > 0 else None for row in report.rows
         ],
-        "seed": rng.seed,
-        "stream": rng.stream,
+        "seed": seed,
+        "stream": stream,
     }
     return results, curves
 
 
-def _run_doublesum(cfg: dict) -> tuple[dict, list]:
-    rng = _parse_seed(cfg)
-    count = _as_int(cfg.get("count", 1000), "count", low=1)
-    max_len = _as_int(cfg.get("max_len", 512), "max_len", low=2)
-    ratios = checks.double_sum_battery(rng.seed, rng.seed ^ 0xA5A5, rng.stream, count, max_len)
+def _run_doublesum(seed, stream, count, max_len, **_) -> tuple[dict, list]:
+    ratios = checks.double_sum_battery(seed, seed ^ 0xA5A5, stream, count, max_len)
     max_ratio = max(ratios)
     argmax = ratios.index(max_ratio)
-    curves = [_point_curve("double_sum_ratio_per_vector", range(len(ratios)), ratios, {"seed": rng.seed})]
-    return {"max_ratio": max_ratio, "argmax_vector": argmax, "seed": rng.seed}, curves
+    curves = [_point_curve("double_sum_ratio_per_vector", range(len(ratios)), ratios, {"seed": seed})]
+    return {"max_ratio": max_ratio, "argmax_vector": argmax, "seed": seed}, curves
 
 
-def _run_demo(cfg: dict) -> tuple[dict, list]:
-    preset = cfg.get("preset", "all")
-    if not isinstance(preset, str):
-        raise ConfigError("preset", f"expected a check name or 'all', got {preset!r}")
+def _run_demo(preset, **_) -> tuple[dict, list]:
     registry = {check.name: check for check in checks.CHECKS}
     if preset == "all":
         selected = list(registry.values())
@@ -469,18 +453,37 @@ def _run_demo(cfg: dict) -> tuple[dict, list]:
     return {"checks": results, "all_pass": all(c["pass"] for c in results)}, []
 
 
-# the handler of each command and route and the top-level fields it reads;
-# a command with several routes reads "route", whose default is listed first
+_SYMBOL = (_parse_symbol, _REQUIRED)
+_KIND = (_as_kind, "hankel")
+_ROUTE = (_keep, None)  # run() checks it before the spec is read
+_CLASSIFY = (_options({"m_grid": (lambda v, p: tuple(_as_grid(v, p, low=0)), None), "nmax": (_int_from(0), None)},
+                      criteria.ClassifyConfig), criteria.ClassifyConfig())
+_POWER = (_options({"tol": (_as_tolerance, None), "max_iter": (_int_from(1), None)}, dict), {})
+
+# the handler of each command and route and the spec of the top-level fields
+# it reads, besides command and seed; a command with several routes reads
+# "route", whose default is listed first
 _HANDLERS = {
-    ("classify", "widom"): (_run_classify, ("symbol", "measure", "kind", "route", "classify")),
-    ("classify", "carleson"): (_run_classify_carleson, ("symbol", "kind", "route", "n_grid")),
-    ("sections", None): (_run_sections, ("symbol", "kind", "power", "n_grid", "m_grid")),
-    ("rkt", None): (_run_rkt, ("symbol", "kind", "t_grid", "n")),
-    ("moments", None): (_run_moments, ("measure", "n", "classify")),
-    ("carleson", None): (_run_carleson, ("symbol", "n_grid", "delta_grid")),
-    ("random-sim", None): (_run_random_sim, ("symbol", "dist", "normalized", "stream", "replicas", "n", "m_grid", "power")),
-    ("doublesum", None): (_run_doublesum, ("stream", "count", "max_len")),
-    ("demo", None): (_run_demo, ("preset",)),
+    ("classify", "widom"): (_run_classify, {"symbol": (_parse_symbol, None), "measure": (_parse_measure, None),
+                                            "kind": _KIND, "route": _ROUTE, "classify": _CLASSIFY}),
+    ("classify", "carleson"): (_run_classify_carleson, {"symbol": _SYMBOL, "kind": _KIND, "route": _ROUTE,
+                                                        "n_grid": (_grid_from(0), [64, 128, 256, 512])}),
+    # "m_grid": null reads as no m_grid
+    ("sections", None): (_run_sections, {"symbol": _SYMBOL, "kind": _KIND, "power": _POWER,
+                                         "n_grid": (_grid_from(1), [64, 128, 256, 512, 1024]),
+                                         "m_grid": (lambda v, p: v if v is None else _as_grid(v, p, low=0), None)}),
+    ("rkt", None): (_run_rkt, {"symbol": _SYMBOL, "kind": _KIND, "t_grid": (_kernel_points, _REQUIRED),
+                               "n": (_int_from(0), 256)}),
+    ("moments", None): (_run_moments, {"measure": (_parse_measure, _REQUIRED), "n": (_int_from(0), 64),
+                                       "classify": _CLASSIFY}),
+    ("carleson", None): (_run_carleson, {"symbol": _SYMBOL, "n_grid": (_grid_from(0), [64, 128, 256]),
+                                         "delta_grid": (_annulus_widths, sorted(carleson.DELTA_SCHEDULE))}),
+    # a default m_grid of None is {n/8, n/4, n/2}
+    ("random-sim", None): (_run_random_sim, {"symbol": _SYMBOL, **_DIST, **_SEED, "replicas": (_int_from(1), 16),
+                                             "n": (_int_from(1), 512), "m_grid": (_grid_from(0), None),
+                                             "power": _POWER}),
+    ("doublesum", None): (_run_doublesum, {**_SEED, "count": (_int_from(1), 1000), "max_len": (_int_from(2), 512)}),
+    ("demo", None): (_run_demo, {"preset": (_as_preset, "all")}),
 }
 COMMANDS = tuple(dict.fromkeys(command for command, _ in _HANDLERS))
 
@@ -489,18 +492,19 @@ def run(config: dict) -> dict:
     """Dispatch a validated config to its command handler; returns the report."""
     if not isinstance(config, dict):
         raise ConfigError("", "top-level config must be a JSON object")
-    command = _require(config, "command")
+    if "command" not in config:
+        raise ConfigError("command", "required field missing")
+    command = config["command"]
     if command not in COMMANDS:
         raise ConfigError("command", f"unknown command {command!r}; choose from {COMMANDS}")
     routes = [route for name, route in _HANDLERS if name == command]
     route = config.get("route", routes[0]) if len(routes) > 1 else None
     if route not in routes:
         raise ConfigError("route", f"expected one of {routes}, got {route!r}")
-    handler, fields = _HANDLERS[command, route]
-    # seed is allowed everywhere: --seed-override sets it for any command
-    _fields(config, "config", ("command", "seed", *fields))
+    handler, spec = _HANDLERS[command, route]
     start = time.perf_counter()
-    results, curves = handler(config)
+    # seed is allowed everywhere: --seed-override sets it for any command
+    results, curves = handler(**_object(config, "", {"command": (_keep, None), "seed": (_keep, None), **spec}))
     report = {
         "tool": {"name": "dirspace", "version": __version__},
         "command": command,
@@ -592,9 +596,13 @@ def main(argv=None) -> int:
         sys.stdout.write(payload["report.json"].decode())
     else:
         out_dir = args.out or Path(".")
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for name, data in payload.items():
-            (out_dir / name).write_bytes(data)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            for name, data in payload.items():
+                (out_dir / name).write_bytes(data)
+        except OSError as exc:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return 2
         print(f"wrote {len(payload)} file(s) to {out_dir}", file=sys.stderr)
 
     if args.command == "demo":

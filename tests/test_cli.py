@@ -1,5 +1,6 @@
 import copy
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -90,6 +91,14 @@ def test_random_sim_rejects_zero_replicas():
 
 POWERLOG = {"kind": "powerlog", "alpha": 1.0, "beta": 1.0}
 NAN, INF = json.loads("NaN"), json.loads("Infinity")
+# range checks of float grids: (config, path, message)
+_GRID_RANGE_FAULTS = [
+    ({"command": "rkt", "symbol": POWERLOG, "t_grid": [-1.0]}, "t_grid", "kernel points must lie in [0, 1)"),
+    ({"command": "carleson", "symbol": POWERLOG, "n_grid": [8], "delta_grid": [-1]}, "delta_grid",
+     "annulus widths must lie in (0, 1)"),
+    ({"command": "carleson", "symbol": POWERLOG, "n_grid": [8], "delta_grid": [0.5, 2.0]}, "delta_grid",
+     "annulus widths must lie in (0, 1)"),
+]
 
 
 @pytest.mark.parametrize(
@@ -162,12 +171,71 @@ NAN, INF = json.loads("NaN"), json.loads("Infinity")
         ({"command": "classify", "measure": {"atoms": [{"loc": 0.5, "mass": INF}]}}, "measure.atoms[0].mass"),
         ({"command": "sections", "symbol": POWERLOG, "n_grid": [8], "power": {"tol": NAN}}, "power.tol"),
         ({"command": "rkt", "symbol": POWERLOG, "t_grid": [0.5], "n": INF}, "n"),
+        *[(config, path) for config, path, _ in _GRID_RANGE_FAULTS],
     ],
 )
 def test_config_error_path(config, path):
     with pytest.raises(cli.ConfigError) as err:
         run_config(config)
     assert err.value.path == path
+
+
+@pytest.mark.parametrize("config, path, message", _GRID_RANGE_FAULTS)
+def test_grid_range_messages(config, path, message):
+    # a width outside (0, 1) is a config error at its field, not a
+    # precondition failure of restricted_carleson_norm
+    with pytest.raises(cli.ConfigError) as err:
+        run_config(config)
+    assert str(err.value) == f"config error at {path}: {message}"
+
+
+def test_sections_null_m_grid_reads_as_absent():
+    cfg = {"command": "sections", "symbol": POWERLOG, "n_grid": [8, 16]}
+    with_null = strip_wall_time(run_config({**cfg, "m_grid": None}))
+    without = strip_wall_time(run_config(cfg))
+    assert with_null["results"] == without["results"] and with_null["curves"] == without["curves"]
+    assert [c["label"] for c in without["curves"]] == ["section_norm_vs_n"]
+
+
+def test_defaults_of_fields_no_benchmark_job_sets(monkeypatch):
+    # each library call records its arguments instead of solving
+    calls = []
+    monkeypatch.setattr(cli.operators, "tail_section_norm", lambda s, kind, m, n, **power: calls.append(n) or 1.0)
+    run_config({"command": "sections", "symbol": POWERLOG})
+    assert calls == [64, 128, 256, 512, 1024]
+
+    probe = SimpleNamespace(rows=[], statistic=0.0, notes=[])
+    monkeypatch.setattr(cli.criteria, "rkt_probe", lambda s, kind, t_grid, n: calls.append(n) or probe)
+    run_config({"command": "rkt", "symbol": POWERLOG, "t_grid": [0.5]})
+    assert calls[-1] == 256
+
+    monkeypatch.setattr(cli.criteria, "widom_profile", lambda s, m_grid, nmax: [])
+    report = run_config({"command": "moments", "measure": {"named": "lebesgue"}})
+    assert [row[0] for row in report["curves"][0]["rows"]] == list(range(65))  # n = 64
+
+    def experiment(s, d, replicas, m_grid, n, rng, **power):
+        calls.append((replicas, n, list(m_grid)))
+        return SimpleNamespace(rows=[], membership=SimpleNamespace(lower=0.0, upper=0.0, divergent=False))
+
+    monkeypatch.setattr(cli.stochastic, "random_tail_experiment", experiment)
+    run_config({"command": "random-sim", "symbol": POWERLOG, "seed": 1})
+    assert calls[-1] == (16, 512, [64, 128, 256])
+
+
+_ITEM_4 = pytest.mark.xfail(reason="ROADMAP item 4: the carleson route reads slow convergence as growth", strict=True)
+
+
+# Carleson-route verdicts against the benchmark's labels (ROADMAP item 14's
+# panel, first rows); the labels are read from perfbench/check.py
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [pytest.param(1.1, 0.0, marks=_ITEM_4), pytest.param(1.2, 0.0, marks=_ITEM_4), (1.0, 0.5)],
+)
+def test_carleson_route_verdict_matches_label(alpha, beta):
+    label = perfbench_module("check").powerlog_class(alpha, beta)
+    symbol = {"kind": "powerlog", "alpha": alpha, "beta": beta}
+    report = run_config({"command": "classify", "route": "carleson", "symbol": symbol})
+    assert report["results"]["verdict"] == label
 
 
 # a typo of a real field, last in each config: a misspelt field must not be
@@ -553,16 +621,26 @@ def test_main_config_error_exit_code(tmp_path):
 
 def test_main_out_of_memory_exit_code(tmp_path, monkeypatch, capsys):
     # a size too large to allocate is a config error, not a failed check
-    def exhausted(config):
+    def exhausted(**fields):
         raise MemoryError("Unable to allocate 146. TiB for an array")
 
-    _, fields = cli._HANDLERS["rkt", None]
-    monkeypatch.setitem(cli._HANDLERS, ("rkt", None), (exhausted, fields))
+    _, spec = cli._HANDLERS["rkt", None]
+    monkeypatch.setitem(cli._HANDLERS, ("rkt", None), (exhausted, spec))
     cfg = tmp_path / "rkt.json"
-    cfg.write_text(json.dumps({"symbol": {"kind": "powerlog", "alpha": 1.0, "beta": 1.0}, "n": 1e13}))
+    cfg.write_text(json.dumps({"symbol": {"kind": "powerlog", "alpha": 1.0, "beta": 1.0}, "t_grid": [0.5], "n": 1e13}))
     assert cli.main(["rkt", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error:") and "146. TiB" in err
+
+
+def test_main_unwritable_out_exit_code(tmp_path, capsys):
+    # --out names an existing regular file: one error line, no traceback
+    cfg, out = tmp_path / "cfg.json", tmp_path / "afile"
+    cfg.write_text(json.dumps({"measure": {"named": "lebesgue"}, "n": 4}))
+    out.write_text("")
+    assert cli.main(["moments", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: cannot write output:")
 
 
 def test_main_missing_config_exit_code(tmp_path, capsys):
