@@ -3,12 +3,25 @@
 Every variate is a pure function of (seed, stream, index, slot), so sample n
 of a sequence does not depend on how many samples were drawn before it or on
 the truncation length.  The generator is a SplitMix64 finalizer over a keyed
-counter.  The key of a (seed, stream) pair is computed on Python ints masked
-to 64 bits, the words on uint64 arrays, so streams are reproducible
-bit-for-bit across platforms and numpy versions.
+counter.  The key of one (seed, stream) pair is computed on Python ints
+masked to 64 bits, the keys of an array of streams and all words on uint64
+arrays, so streams are reproducible bit-for-bit across platforms and numpy
+versions.
+
+Streams can therefore be drawn in any grouping (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC 2011).  Every draw takes either one
+stream (a Python int) or an integer array of streams that broadcasts against
+the index; each stream is taken mod 2^64, as a single stream is, and the
+keys of all of them come from one array pass of the same finalizer.  So an
+entry of a batched draw equals the single-stream draw of its stream and
+index, and a batch of short streams costs one call instead of one per
+stream.  The start vector of the singular-value solves is memoized per
+dimension, read-only and for a bounded set of dimensions (unit_start_vector).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -30,15 +43,30 @@ def _finalize(x):
     return x ^ (x >> 31)
 
 
-def raw_bits(seed: int, stream: int, index, slot: int = 0) -> np.ndarray:
-    """uint64 words keyed by (seed, stream, index, slot); index may be an array."""
-    key = _finalize(_finalize(seed & _MASK) ^ (stream & _MASK))
+def _stream_words(stream) -> np.ndarray:
+    """An integer array of streams as uint64, each entry mod 2^64."""
+    s = np.asarray(stream)
+    if s.dtype == object:  # Python ints past 64 bits
+        return np.array([int(v) & _MASK for v in s.flat], dtype=np.uint64).reshape(s.shape)
+    if s.dtype.kind not in "iu":
+        raise TypeError(f"streams must be integers, got dtype {s.dtype}")
+    return s.astype(np.uint64, copy=False)  # two's complement wrap: a negative stream is stream mod 2^64
+
+
+def raw_bits(seed: int, stream, index, slot: int = 0) -> np.ndarray:
+    """uint64 words keyed by (seed, stream, index, slot); index may be an
+    array, and stream an int or an integer array that broadcasts against it."""
     idx = np.asarray(index, dtype=np.uint64)
-    with np.errstate(over="ignore"):  # uint64 scalars (0-d index) warn on wrap-around
-        return _finalize(idx * np.uint64(_GOLDEN) + np.uint64((key + slot * _SLOT) & _MASK))
+    if isinstance(stream, int):
+        key = _finalize(_finalize(seed & _MASK) ^ (stream & _MASK))
+        with np.errstate(over="ignore"):  # uint64 scalars (0-d index) warn on wrap-around
+            return _finalize(idx * np.uint64(_GOLDEN) + np.uint64((key + slot * _SLOT) & _MASK))
+    with np.errstate(over="ignore"):
+        keys = _finalize(np.uint64(_finalize(seed & _MASK)) ^ _stream_words(stream))
+        return _finalize(idx * np.uint64(_GOLDEN) + (keys + np.uint64(slot * _SLOT & _MASK)))
 
 
-def uniforms(seed: int, stream: int, index, slot: int = 0) -> np.ndarray:
+def uniforms(seed: int, stream, index, slot: int = 0) -> np.ndarray:
     """Uniform doubles ((w >> 11) + 1/2)·2^-53 from the words w, in (0, 1].
 
     From 1/2 up, (w >> 11) + 1/2 is a tie that rounds to even, so those
@@ -50,29 +78,43 @@ def uniforms(seed: int, stream: int, index, slot: int = 0) -> np.ndarray:
     return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * _TWO53_INV
 
 
-def rademacher(seed: int, stream: int, index) -> np.ndarray:
+def rademacher(seed: int, stream, index) -> np.ndarray:
     """+-1 with equal probability, from the top bit of the word."""
     bits = raw_bits(seed, stream, index)
     return 1.0 - 2.0 * (bits >> np.uint64(63)).astype(np.float64)
 
 
-def uniform_symmetric(seed: int, stream: int, index) -> np.ndarray:
+def uniform_symmetric(seed: int, stream, index) -> np.ndarray:
     """2·uniforms - 1, uniform on (-1, 1]; exactly 0 and 1.0 each have
     probability 2^-53 (see uniforms)."""
     return 2.0 * uniforms(seed, stream, index) - 1.0
 
 
-def normals(seed: int, stream: int, index) -> np.ndarray:
+def normals(seed: int, stream, index) -> np.ndarray:
     """Standard normals via Box-Muller on slots 0 and 1 of each index."""
     u1 = uniforms(seed, stream, index, slot=0)
     u2 = uniforms(seed, stream, index, slot=1)
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
 
-def unit_start_vector(n: int) -> np.ndarray:
-    """Deterministic pseudo-random unit vector that starts every singular-value
-    solve: seed 0x1D5EED, stream 0."""
+_START_CACHE_DIM = 1 << 14  # unit_start_vector keeps dimensions up to this
+_START_CACHE_SIZE = 32  # ... and at most this many of them: at most 4 MiB
+
+
+def _draw_start_vector(n: int) -> np.ndarray:
     # an entry is 0 only where the draw is exactly 1/2, which happens with
     # probability 2^-53 (see uniforms); the first 2^20 entries have no zero
     v = uniform_symmetric(0x1D5EED, 0, np.arange(n))
-    return v / np.sqrt(np.sum(v * v))
+    v /= np.sqrt(np.sum(v * v))
+    v.flags.writeable = False
+    return v
+
+
+_cached_start_vector = functools.lru_cache(maxsize=_START_CACHE_SIZE)(_draw_start_vector)
+
+
+def unit_start_vector(n: int) -> np.ndarray:
+    """Deterministic pseudo-random unit vector that starts every singular-value
+    solve: seed 0x1D5EED, stream 0.  Read-only, since it is shared: the
+    vectors of the most recent dimensions up to 2^14 are memoized."""
+    return _cached_start_vector(n) if n <= _START_CACHE_DIM else _draw_start_vector(n)

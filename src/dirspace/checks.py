@@ -71,14 +71,28 @@ def quad_gram_entry(b: TaylorPoly, j: int, k: int) -> complex:
     return complex(disk_integral_mean(g, dc.shape[0] - 1 + max(j, k)))
 
 
+_BATTERY_BLOCK = 1 << 16  # double_sum_battery: entries drawn per call, at most
+
+
 def double_sum_battery(len_seed: int, vec_seed: int, stream: int, count: int, max_len: int) -> list:
     """double_sum_ratio of ``count`` seeded vectors: vector i has length
     2 + floor(U (max_len - 1)), U the uniform of (len_seed, stream + i) at
-    index 0, and entries the uniforms of (vec_seed, stream + i)."""
+    index 0, and entries the uniforms of (vec_seed, stream + i).
+
+    The streams are drawn as arrays: one call for all lengths, and one for
+    the entries of each block of vectors, over their concatenated index; a
+    block holds at most _BATTERY_BLOCK entries, which bounds the memory."""
+    # stream + i mod 2^64, as a single-stream draw reduces it
+    streams = np.uint64(stream % 2**64) + np.arange(count, dtype=np.uint64)
+    lengths = 2 + (_rng.uniforms(len_seed, streams, 0) * (max_len - 1)).astype(np.int64)
+    block = max(1, _BATTERY_BLOCK // max_len)
     ratios = []
-    for i in range(count):
-        length = 2 + int(seeded_uniforms(len_seed, stream + i, 1)[0] * (max_len - 1))
-        ratios.append(criteria.double_sum_ratio(seeded_uniforms(vec_seed, stream + i, length))[2])
+    for lo in range(0, count, block):
+        sizes = lengths[lo : lo + block]
+        ends = np.cumsum(sizes)
+        index = np.arange(ends[-1]) - np.repeat(ends - sizes, sizes)
+        entries = _rng.uniforms(vec_seed, np.repeat(streams[lo : lo + block], sizes), index)
+        ratios += [criteria.double_sum_ratio(entries[end - size : end])[2] for end, size in zip(ends, sizes)]
     return ratios
 
 
@@ -216,8 +230,7 @@ def _point_mass(cutoffs):
 def _cesaro_closed_form(draws, n):
     ok = True
     worst = 0.0
-    for i in range(draws):
-        u = seeded_uniforms(555, i, 3)
+    for u in _rng.uniforms(555, np.arange(draws)[:, None], np.arange(3)):  # row i: stream i
         t = 0.05 + 0.90 * u[0]
         s = SymbolSeq.powerlog(1.0 + u[1], 0.5 + u[2])
         closed = operators.cesaro_rkt_norm(s, t, n)

@@ -36,7 +36,8 @@ numeric grids strictly increasing):
     normalized  fourth-moment normalization flag (default true)
     replicas    random-sim replica count
     count/max_len  doublesum battery size
-    seed/stream    required for stochastic commands
+    seed/stream    integers; required for stochastic commands (seed is
+                   allowed for every command, and an integer there too)
     classify    optional {"m_grid": [int...], "nmax": int}, nothing else;
                 a Widom-route verdict is the symbol's closed-form class or
                 inconclusive
@@ -503,8 +504,10 @@ def run(config: dict) -> dict:
         raise ConfigError("route", f"expected one of {routes}, got {route!r}")
     handler, spec = _HANDLERS[command, route]
     start = time.perf_counter()
-    # seed is allowed everywhere: --seed-override sets it for any command
-    results, curves = handler(**_object(config, "", {"command": (_keep, None), "seed": (_keep, None), **spec}))
+    # seed is allowed everywhere, since --seed-override sets it for any
+    # command, and it is an integer everywhere; a stochastic command's spec
+    # requires it
+    results, curves = handler(**_object(config, "", {"command": (_keep, None), "seed": (_as_int, None), **spec}))
     report = {
         "tool": {"name": "dirspace", "version": __version__},
         "command": command,

@@ -118,7 +118,7 @@ def top_singular_value(m, tol: float = 1e-10, max_iter: int | None = None):
     if max_iter is not None and max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     if isinstance(m, LinearMap):
-        v0 = _rng.unit_start_vector(m.shape[1]).astype(m.dtype)
+        v0 = _rng.unit_start_vector(m.shape[1]).astype(m.dtype, copy=False)
         max_steps = max_iter or default_max_iter(min(m.shape))
         sigma, converged, _, _ = _accel.golub_kahan(m.matvec, m.rmatvec, v0, tol, max_steps)
         exponent = m.exponent

@@ -33,7 +33,7 @@ class DistTag:
     normalized: bool = True
 
     def __post_init__(self):
-        if self.name not in _DISTS:
+        if not isinstance(self.name, str) or self.name not in _DISTS:
             raise ValueError(f"unknown distribution {self.name!r}; choose from {tuple(_DISTS)}")
 
     @property

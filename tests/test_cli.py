@@ -75,6 +75,11 @@ def test_stochastic_commands_require_seed():
     assert err.value.path == "seed"
 
 
+def test_seed_of_a_deterministic_command_is_echoed():
+    report = run_config({"command": "sections", "symbol": POWERLOG, "n_grid": [8], "seed": 7})
+    assert report["provenance"]["seed"] == 7 and report["config"]["seed"] == 7
+
+
 def test_random_sim_rejects_zero_replicas():
     cfg = {
         "command": "random-sim",
@@ -172,6 +177,13 @@ _GRID_RANGE_FAULTS = [
         ({"command": "sections", "symbol": POWERLOG, "n_grid": [8], "power": {"tol": NAN}}, "power.tol"),
         ({"command": "rkt", "symbol": POWERLOG, "t_grid": [0.5], "n": INF}, "n"),
         *[(config, path) for config, path, _ in _GRID_RANGE_FAULTS],
+        # dist is a distribution name, and seed an integer for every command
+        ({"command": "random-sim", "symbol": POWERLOG, "dist": ["x"], "seed": 1, "n": 16}, "dist"),
+        ({"command": "classify", "symbol": {"kind": "randomized", "base": POWERLOG, "dist": {"a": 1},
+                                            "seed": 1}}, "symbol.dist"),
+        ({"command": "sections", "symbol": POWERLOG, "n_grid": [8], "seed": NAN}, "seed"),
+        ({"command": "classify", "symbol": POWERLOG, "seed": 1.5}, "seed"),
+        ({"command": "demo", "preset": "hilbert", "seed": "7"}, "seed"),
     ],
 )
 def test_config_error_path(config, path):

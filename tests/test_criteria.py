@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from conftest import seeded_uniforms
+from dirspace.checks import double_sum_battery
 from dirspace.criteria import (
     ClassifyConfig,
     classify,
@@ -421,6 +422,29 @@ def test_double_sum_battery_bounded():
         vec = seeded_uniforms(4243, i, length)
         mx = max(mx, double_sum_ratio(vec)[2])
     assert mx <= 10.0
+
+
+def per_vector_battery(len_seed, vec_seed, stream, count, max_len):
+    """double_sum_battery drawn one stream per call: its reference."""
+    ratios = []
+    for i in range(count):
+        length = 2 + int(seeded_uniforms(len_seed, stream + i, 1)[0] * (max_len - 1))
+        ratios.append(double_sum_ratio(seeded_uniforms(vec_seed, stream + i, length))[2])
+    return ratios
+
+
+@pytest.mark.parametrize(
+    "len_seed, vec_seed, stream, count, max_len",
+    [
+        (4242, 4243, 0, 300, 512),  # acceptance 10's seeds; entries drawn in three blocks
+        (7, 7 ^ 0xA5A5, 2**64 - 3, 12, 512),  # streams wrap past 2^64 - 1
+        (5, 5 ^ 0xA5A5, -9, 20, 2),  # negative streams; every vector has length 2
+        (-(2**70), 2**70, 2**66 + 1, 30, 64),
+    ],
+)
+def test_double_sum_battery_matches_per_vector_draws(len_seed, vec_seed, stream, count, max_len):
+    want = per_vector_battery(len_seed, vec_seed, stream, count, max_len)
+    assert double_sum_battery(len_seed, vec_seed, stream, count, max_len) == want
 
 
 def test_route_consistency_on_ladder():

@@ -1,6 +1,7 @@
 """The counter-based streams against an independent SplitMix64 on Python ints."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -63,6 +64,65 @@ def test_streams_match_reference_splitmix64(seed, stream, index, slot):
     assert signs.dtype == np.float64 and np.shape(signs) == np.shape(index)
     slot0 = [reference_word(seed, stream, i, 0) for i in indices]
     assert np.atleast_1d(signs).tolist() == [1.0 - 2.0 * (w >> 63) for w in slot0]
+
+
+def as_stream_array(streams: list, layout: str) -> np.ndarray:
+    """The streams as an array of one dtype: Python ints (object), their
+    residues mod 2^64 (uint64) or the congruent int64 values."""
+    if layout == "uint64":
+        return np.array([s % 2**64 for s in streams], dtype=np.uint64)
+    if layout == "int64":
+        return np.array([(s + 2**63) % 2**64 - 2**63 for s in streams], dtype=np.int64)
+    return np.array(streams, dtype=object)
+
+
+# streams within 8 of a multiple of 2^64 wrap past 2^64 - 1 when counted on
+_NEAR_WRAP = st.sampled_from([-(2**64), 0, 2**64]).flatmap(lambda w: st.integers(w - 8, w + 8))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    seed=_WIDE,
+    streams=st.lists(_WIDE | _NEAR_WRAP, min_size=1, max_size=6),
+    indices=st.lists(_INDEX, min_size=1, max_size=5),
+    slot=st.sampled_from([0, 1]),
+    layout=st.sampled_from(["object", "uint64", "int64"]),
+    shape=st.sampled_from(["outer", "scalar index", "paired"]),
+)
+def test_stream_arrays_match_reference_stream_by_stream(seed, streams, indices, slot, layout, shape):
+    s = as_stream_array(streams, layout)
+    if shape == "outer":  # a column of streams against a row of indices
+        s, index = s[:, None], indices
+        want = [[reference_word(seed, a, i, slot) for i in indices] for a in streams]
+    elif shape == "scalar index":
+        index = indices[0]
+        want = [reference_word(seed, a, index, slot) for a in streams]
+    else:  # one index per stream
+        index = [indices[k % len(indices)] for k in range(len(streams))]
+        want = [reference_word(seed, a, i, slot) for a, i in zip(streams, index)]
+    bits = _rng.raw_bits(seed, s, index, slot)
+    assert bits.dtype == np.uint64 and bits.tolist() == want
+    u = _rng.uniforms(seed, s, index, slot)
+    assert u.dtype == np.float64 and u.shape == bits.shape
+    assert u.ravel().tolist() == [(float(w >> 11) + 0.5) * 2.0**-53 for w in np.ravel(np.array(want, dtype=object))]
+
+
+def test_stream_arrays_must_be_integers():
+    with pytest.raises(TypeError):
+        _rng.uniforms(1, np.array([0.0, 1.0]), 0)
+
+
+def test_unit_start_vector_memoized_read_only():
+    for n in (1, 7, 513, 2**14, 2**14 + 1):
+        v = _rng.unit_start_vector(n)
+        fresh = _rng.uniform_symmetric(0x1D5EED, 0, np.arange(n))
+        assert np.array_equal(v, fresh / np.sqrt(np.sum(fresh * fresh)))
+        with pytest.raises(ValueError):
+            v[0] = 0.5
+    assert _rng.unit_start_vector(513) is _rng.unit_start_vector(513)
+    for n in range(2, 100):
+        _rng.unit_start_vector(n)
+    assert _rng._cached_start_vector.cache_info().currsize <= _rng._START_CACHE_SIZE
 
 
 def test_unit_start_vector_has_no_zero_entry():
