@@ -3,20 +3,20 @@
 Every variate is a pure function of (seed, stream, index, slot), so sample n
 of a sequence does not depend on how many samples were drawn before it or on
 the truncation length.  The generator is a SplitMix64 finalizer over a keyed
-counter.  The key of one (seed, stream) pair is computed on Python ints
-masked to 64 bits, the keys of an array of streams and all words on uint64
-arrays, so streams are reproducible bit-for-bit across platforms and numpy
+counter.  Keys and words are computed in uint64 arithmetic, which wraps mod
+2^64, so streams are reproducible bit-for-bit across platforms and numpy
 versions.
 
 Streams can therefore be drawn in any grouping (Salmon et al., "Parallel
-random numbers: as easy as 1, 2, 3", SC 2011).  Every draw takes either one
-stream (a Python int) or an integer array of streams that broadcasts against
-the index; each stream is taken mod 2^64, as a single stream is, and the
-keys of all of them come from one array pass of the same finalizer.  So an
-entry of a batched draw equals the single-stream draw of its stream and
-index, and a batch of short streams costs one call instead of one per
-stream.  The start vector of the singular-value solves is memoized per
-dimension, read-only and for a bounded set of dimensions (unit_start_vector).
+random numbers: as easy as 1, 2, 3", SC 2011).  Every draw takes a stream
+that is an integer or an integer array broadcasting against the index; it
+becomes uint64 words, each stream mod 2^64 (_stream_words), and the keys of
+all of them come from one array pass of the finalizer.  A single stream is
+the 0-d case of the same path, so an entry of a batched draw equals the
+single-stream draw of its stream and index, and a batch of short streams
+costs one call instead of one per stream.  The start vector of the
+singular-value solves is memoized per dimension, read-only and for a
+bounded set of dimensions (unit_start_vector).
 """
 
 from __future__ import annotations
@@ -26,25 +26,27 @@ import functools
 import numpy as np
 
 _MASK = 2**64 - 1
-_GOLDEN = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 _SLOT = 0xD6E8FEB86659FD93
 _TWO53_INV = 1.0 / 9007199254740992.0  # 2^-53
 
 
 def _finalize(x):
-    """SplitMix64 finalizer of a Python int in [0, 2^64) or a uint64 array."""
-    x = (x + _GOLDEN) & _MASK
-    x ^= x >> 30
-    x = (x * _MIX1) & _MASK
-    x ^= x >> 27
-    x = (x * _MIX2) & _MASK
-    return x ^ (x >> 31)
+    """SplitMix64 finalizer of uint64 words; sums and products wrap mod 2^64
+    (numpy scalars warn when they do, so callers silence overflow)."""
+    x = x + _GOLDEN
+    x ^= x >> np.uint64(30)
+    x *= _MIX1
+    x ^= x >> np.uint64(27)
+    x *= _MIX2
+    return x ^ (x >> np.uint64(31))
 
 
 def _stream_words(stream) -> np.ndarray:
-    """An integer array of streams as uint64, each entry mod 2^64."""
+    """An integer stream or integer array of streams as uint64 words, each
+    entry mod 2^64; a bool or float stream raises TypeError."""
     s = np.asarray(stream)
     if s.dtype == object:  # Python ints past 64 bits
         return np.array([int(v) & _MASK for v in s.flat], dtype=np.uint64).reshape(s.shape)
@@ -55,15 +57,12 @@ def _stream_words(stream) -> np.ndarray:
 
 def raw_bits(seed: int, stream, index, slot: int = 0) -> np.ndarray:
     """uint64 words keyed by (seed, stream, index, slot); index may be an
-    array, and stream an int or an integer array that broadcasts against it."""
+    array, and stream an integer or an integer array that broadcasts
+    against it.  Seed, stream and slot are taken mod 2^64."""
     idx = np.asarray(index, dtype=np.uint64)
-    if isinstance(stream, int):
-        key = _finalize(_finalize(seed & _MASK) ^ (stream & _MASK))
-        with np.errstate(over="ignore"):  # uint64 scalars (0-d index) warn on wrap-around
-            return _finalize(idx * np.uint64(_GOLDEN) + np.uint64((key + slot * _SLOT) & _MASK))
-    with np.errstate(over="ignore"):
-        keys = _finalize(np.uint64(_finalize(seed & _MASK)) ^ _stream_words(stream))
-        return _finalize(idx * np.uint64(_GOLDEN) + (keys + np.uint64(slot * _SLOT & _MASK)))
+    with np.errstate(over="ignore"):  # numpy scalars (a 0-d key or index) warn on wrap-around
+        keys = _finalize(_finalize(np.uint64(seed & _MASK)) ^ _stream_words(stream))
+        return _finalize(idx * _GOLDEN + (keys + np.uint64(slot * _SLOT & _MASK)))
 
 
 def uniforms(seed: int, stream, index, slot: int = 0) -> np.ndarray:

@@ -82,8 +82,7 @@ def double_sum_battery(len_seed: int, vec_seed: int, stream: int, count: int, ma
     The streams are drawn as arrays: one call for all lengths, and one for
     the entries of each block of vectors, over their concatenated index; a
     block holds at most _BATTERY_BLOCK entries, which bounds the memory."""
-    # stream + i mod 2^64, as a single-stream draw reduces it
-    streams = np.uint64(stream % 2**64) + np.arange(count, dtype=np.uint64)
+    streams = _rng._stream_words(stream) + np.arange(count, dtype=np.uint64)  # stream + i mod 2^64
     lengths = 2 + (_rng.uniforms(len_seed, streams, 0) * (max_len - 1)).astype(np.int64)
     block = max(1, _BATTERY_BLOCK // max_len)
     ratios = []
@@ -179,9 +178,7 @@ def _widom_ladder(m_grid, nmax):
         # bracket validation against a 10x-deeper oracle: the deeper
         # brackets nest inside the reported ones and the deeper partial
         # sums stay below the upper ends, at every m in the grid
-        for m in m_grid:
-            b = criteria.widom_tail(s, m, nmax)
-            deep = criteria.widom_tail(s, m, 10 * nmax)
+        for b, deep in zip(s.tail_brackets(m_grid, nmax), s.tail_brackets(m_grid, 10 * nmax)):
             eps = 1e-12 * max(b.upper if np.isfinite(b.upper) else 1.0, 1.0)
             if np.isfinite(b.upper):
                 ok = ok and b.lower - eps <= deep.lower and deep.upper <= b.upper + eps

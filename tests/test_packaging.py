@@ -2,6 +2,7 @@
 
 import ast
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -43,3 +44,29 @@ def test_third_party_test_imports_are_declared():
     third_party = {top: where for top, where in imported.items() if top not in sys.stdlib_module_names | local}
     undeclared = {top: where for top, where in third_party.items() if top not in _declared_modules()}
     assert not undeclared, f"imported by tests but not in dependencies or the test extra: {undeclared}"
+
+
+_FAILING_PROPERTY = """
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(st.integers(0, 10))
+def test_fails(x):
+    assert x < 0
+"""
+
+
+def test_failing_property_test_shows_its_example(tmp_path):
+    # under the suite's warning filters, a failing @given test must print
+    # its falsifying example rather than an INTERNALERROR from the plugin
+    (tmp_path / "test_property.py").write_text(_FAILING_PROPERTY, encoding="utf-8")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(PYPROJECT),
+         "--rootdir", str(tmp_path), "test_property.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    out = run.stdout + run.stderr
+    assert run.returncode == 1, out
+    assert "Falsifying example" in out and "INTERNALERROR" not in out, out

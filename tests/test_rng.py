@@ -42,25 +42,39 @@ _WIDE = st.integers(-(2**70), 2**70)
 _INDEX = st.integers(0, MASK)
 
 
+def as_stream_form(stream: int, form: str):
+    """One stream as a Python int, an int64 or uint64 scalar (the Python int
+    where the value does not fit) or a 0-d object array."""
+    if form == "int64" and -(2**63) <= stream < 2**63:
+        return np.int64(stream)
+    if form == "uint64" and 0 <= stream <= MASK:
+        return np.uint64(stream)
+    if form == "0-d object":
+        return np.array(stream, dtype=object)
+    return stream
+
+
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(
     seed=_WIDE,
     stream=_WIDE,
     index=_INDEX | st.lists(_INDEX, max_size=8),
     slot=st.sampled_from([0, 1]),
+    form=st.sampled_from(["int", "int64", "uint64", "0-d object"]),
 )
-def test_streams_match_reference_splitmix64(seed, stream, index, slot):
+def test_streams_match_reference_splitmix64(seed, stream, index, slot, form):
     indices = [index] if isinstance(index, int) else index
     words = [reference_word(seed, stream, i, slot) for i in indices]
-    bits = _rng.raw_bits(seed, stream, index, slot)
+    s = as_stream_form(stream, form)
+    bits = _rng.raw_bits(seed, s, index, slot)
     assert bits.dtype == np.uint64 and np.shape(bits) == np.shape(index)
     assert np.atleast_1d(bits).tolist() == words
 
-    u = _rng.uniforms(seed, stream, index, slot)
+    u = _rng.uniforms(seed, s, index, slot)
     assert u.dtype == np.float64 and np.shape(u) == np.shape(index)
     assert np.atleast_1d(u).tolist() == [(float(w >> 11) + 0.5) * 2.0**-53 for w in words]
 
-    signs = _rng.rademacher(seed, stream, index)
+    signs = _rng.rademacher(seed, s, index)
     assert signs.dtype == np.float64 and np.shape(signs) == np.shape(index)
     slot0 = [reference_word(seed, stream, i, 0) for i in indices]
     assert np.atleast_1d(signs).tolist() == [1.0 - 2.0 * (w >> 63) for w in slot0]
@@ -108,8 +122,10 @@ def test_stream_arrays_match_reference_stream_by_stream(seed, streams, indices, 
 
 
 def test_stream_arrays_must_be_integers():
-    with pytest.raises(TypeError):
-        _rng.uniforms(1, np.array([0.0, 1.0]), 0)
+    # a bool is not read as the stream 0 or 1
+    for stream in (np.array([0.0, 1.0]), 1.0, True, np.array([True, False])):
+        with pytest.raises(TypeError):
+            _rng.uniforms(1, stream, 0)
 
 
 def test_unit_start_vector_memoized_read_only():
