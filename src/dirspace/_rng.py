@@ -45,8 +45,8 @@ def _finalize(x):
 
 
 def _stream_words(stream) -> np.ndarray:
-    """An integer stream or integer array of streams as uint64 words, each
-    entry mod 2^64; a bool or float stream raises TypeError."""
+    """An integer seed or stream, or integer array of streams, as uint64
+    words, each entry mod 2^64; a bool or float one raises TypeError."""
     s = np.asarray(stream)
     if s.dtype == object:  # Python ints past 64 bits
         return np.array([int(v) & _MASK for v in s.flat], dtype=np.uint64).reshape(s.shape)
@@ -58,10 +58,12 @@ def _stream_words(stream) -> np.ndarray:
 def raw_bits(seed: int, stream, index, slot: int = 0) -> np.ndarray:
     """uint64 words keyed by (seed, stream, index, slot); index may be an
     array, and stream an integer or an integer array that broadcasts
-    against it.  Seed, stream and slot are taken mod 2^64."""
+    against it.  Seed, stream and slot are taken mod 2^64, the seed and
+    stream by one rule (_stream_words), so a numpy integer seed draws what
+    the Python int of its value draws."""
     idx = np.asarray(index, dtype=np.uint64)
     with np.errstate(over="ignore"):  # numpy scalars (a 0-d key or index) warn on wrap-around
-        keys = _finalize(_finalize(np.uint64(seed & _MASK)) ^ _stream_words(stream))
+        keys = _finalize(_finalize(_stream_words(seed)) ^ _stream_words(stream))
         return _finalize(idx * _GOLDEN + (keys + np.uint64(slot * _SLOT & _MASK)))
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _rng, carleson, coeffspace, criteria, measures, operators, stochastic
 from .coeffspace import TaylorPoly
-from .symbols import SymbolSeq
+from .symbols import SymbolSeq, WidomTail
 
 
 def seeded_uniforms(seed: int, stream: int, count: int) -> np.ndarray:
@@ -175,10 +175,17 @@ def _widom_ladder(m_grid, nmax):
         rep = criteria.classify(s, "hankel")
         ok = ok and rep.verdict == expected
         detail.append(f"beta={beta}:{rep.verdict}")
-        # bracket validation against a 10x-deeper oracle: the deeper
-        # brackets nest inside the reported ones and the deeper partial
-        # sums stay below the upper ends, at every m in the grid
-        for b, deep in zip(s.tail_brackets(m_grid, nmax), s.tail_brackets(m_grid, 10 * nmax)):
+        # bracket validation against a 10x-deeper oracle that does not go
+        # through tail_brackets, whose head may stop short of nmax: a float
+        # partial sum through 10 nmax plus the remainder past it nests inside
+        # the reported brackets, and the deeper partial sums stay below the
+        # upper ends, at every m in the grid
+        n = np.arange(m_grid[0], 10 * nmax + 1)
+        terms = n * s.values(n) ** 2
+        rem = s.tail_remainder(10 * nmax)
+        for m, b in zip(m_grid, s.tail_brackets(m_grid, nmax)):
+            partial = float(np.sum(terms[m - m_grid[0] :]))
+            deep = WidomTail(m, partial + rem.lower, partial + rem.upper)
             eps = 1e-12 * max(b.upper if np.isfinite(b.upper) else 1.0, 1.0)
             if np.isfinite(b.upper):
                 ok = ok and b.lower - eps <= deep.lower and deep.upper <= b.upper + eps

@@ -324,6 +324,13 @@ def _profile_rows(profile):
     ]
 
 
+def _profile_meta(sym, classify) -> dict:
+    """The profile's nmax and the last index its sums read
+    (SymbolSeq.summed_through: a finite support can lift it past nmax, a
+    second-order remainder hold it below)."""
+    return {"nmax": classify.nmax, "summed_through": sym.summed_through(classify.nmax)}
+
+
 # ---------------------------------------------------------------------------
 # command handlers: each takes its command's parsed fields (and ignores the
 # command, route and seed fields it does not use)
@@ -335,7 +342,7 @@ def _run_classify(symbol, measure, kind, classify, **_) -> tuple[dict, list]:
         raise ConfigError("symbol", "provide exactly one of 'symbol' or 'measure'")
     sym = symbol if symbol is not None else symbols.SymbolSeq.from_measure(measure)
     report = criteria.classify(sym, kind, classify)
-    curves = [_curve("widom_profile", _profile_rows(report.profile), {"nmax": classify.nmax})]
+    curves = [_curve("widom_profile", _profile_rows(report.profile), _profile_meta(sym, classify))]
     return _verdict(report), curves
 
 
@@ -379,7 +386,7 @@ def _run_moments(measure, n, classify, **_) -> tuple[dict, list]:
     profile = criteria.widom_profile(sym, classify.m_grid, classify.nmax)
     curves = [
         _point_curve("moments_vs_n", range(n + 1), sym.values(np.arange(n + 1)).real),
-        _curve("widom_profile", _profile_rows(profile), {"nmax": classify.nmax}),
+        _curve("widom_profile", _profile_rows(profile), _profile_meta(sym, classify)),
     ]
     return {"total_mass": measure.total_mass, "support_sup": measure.support_sup}, curves
 

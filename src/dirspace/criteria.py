@@ -4,8 +4,11 @@ The governing quantity is the weighted tail S(m) = sum_{n >= m} n |lambda_n|^2.
 Boundedness corresponds to S(m) = O(1/log(m+2)) and compactness to the
 little-o version.  Every tail bracket (widom_tail, dirichlet_membership,
 widom_profile) comes from SymbolSeq.tail_brackets: a padded partial sum per
-cutoff plus the symbol's certified remainder.  The normalized profile
-P(m) = S(m) * log(m+2) over a dyadic grid of cutoffs goes into every report.
+cutoff plus the symbol's certified remainder.  The partial sums run through
+SymbolSeq.summed_through(nmax), so nmax is a cap: a convergent alpha = 1
+powerlog, whose Widom remainder is second order, stops them at 2^14 however
+large nmax is.  The normalized profile P(m) = S(m) * log(m+2) over a dyadic
+grid of cutoffs goes into every report.
 
 Verdicts come from the closed-form order of S(m) (SymbolSeq.widom_class),
 which every symbol kind with a certified remainder has: finite symbols,
@@ -33,7 +36,7 @@ MAX_KERNEL_DEGREE = 1 << 20  # rkt_probe: cap on the kernel truncation degree
 @dataclass(frozen=True)
 class ClassifyConfig:
     m_grid: tuple = tuple(2**j for j in range(4, 15))
-    nmax: int = 2**18
+    nmax: int = 2**18  # a cap on the summed head (SymbolSeq.summed_through)
 
 
 @dataclass

@@ -14,9 +14,13 @@ one of
 
 Besides point values every symbol knows how to bracket its weighted tails
 sum_{n > N} w(n) |lambda_n|^2 (w(n) = n or n+1): exactly zero for finite
-symbols, by integral comparison for powerlog, by closed-form geometric sums
-for atomic moment symbols and ruled lacunary symbols, and "not certified"
-otherwise.  One exponent table (_exponents) gives each infinite symbol the
+symbols, by integral comparison for powerlog (to second order, by the
+trapezoid and midpoint rules, for a convergent alpha = 1 powerlog under the
+Widom weight), by closed-form geometric sums for atomic moment symbols and
+ruled lacunary symbols, and "not certified" otherwise.  A bracket sums the
+terms through summed_through(nmax) and adds the remainder past it; nmax is a
+cap, and the second-order remainder lets its head stop at
+_SECOND_ORDER_HEAD.  One exponent table (_exponents) gives each infinite symbol the
 (alpha, beta) of the powerlog whose tail order it has.  It sets the class
 (widom_class: the order of S(m) = sum_{n >= m} n |lambda_n|^2 against
 1/log m, which is the verdict) and flags the divergent remainders
@@ -36,9 +40,12 @@ MONOTONE_DECREASING = "decreasing-positive"
 MONOTONE_GENERAL = "general"
 
 _EPS = np.finfo(np.float64).eps
+_U = _EPS / 2.0  # unit roundoff
 _TINY = np.finfo(np.float64).tiny
 #: relative padding applied to bracket ends to absorb float summation error
 _SUM_PAD = 64.0 * _EPS
+#: where the head of a second-order remainder's brackets stops (summed_through)
+_SECOND_ORDER_HEAD = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -150,7 +157,7 @@ class SymbolSeq:
         if np.any(idx < 0):
             raise ValueError("symbol indices must be >= 0")
         if self.kind in ("explicit", "lacunary"):
-            support, vals = self._points(int(idx.max()) if idx.size else 0)
+            support, vals, _ = self._points(int(idx.max()) if idx.size else 0)
             out = np.zeros(idx.shape, dtype=vals.dtype)
             if support.size:
                 pos = np.minimum(np.searchsorted(support, idx), support.shape[0] - 1)
@@ -205,13 +212,24 @@ class SymbolSeq:
         """
         return self.tail_brackets([nmax + 1], nmax, weight)[0]
 
+    def summed_through(self, nmax: int, weight: str = "widom") -> int:
+        """Last index whose term tail_brackets sums for a given nmax: nmax, or
+        the last index that can be nonzero where that lies past nmax.  For a
+        convergent alpha = 1 powerlog under the Widom weight nmax is a cap:
+        its remainder is second order (_alpha_one_widom_tail), so the head
+        stops at _SECOND_ORDER_HEAD."""
+        p = self.params
+        if weight == "widom" and self.kind == "powerlog" and p["alpha"] == 1.0 and p["beta"] > 0.5:
+            return min(nmax, _SECOND_ORDER_HEAD)
+        return max(nmax, self.finite_support_bound or 0)
+
     def tail_brackets(self, m_grid, nmax: int, weight: str = "widom") -> list[WidomTail]:
         """Brackets of sum_{n >= m} w(n) |lambda_n|^2 at each cutoff of an
-        increasing grid.  With hi = max(nmax, last index that can be
-        nonzero), a cutoff m <= hi gets the partial sum over [m, hi], padded
-        by _SUM_PAD, plus the remainder beyond hi; a cutoff past hi gets the
-        remainder beyond m - 1 alone, so it never depends on the rest of the
-        grid."""
+        increasing grid.  With hi = summed_through(nmax, weight), a cutoff
+        m <= hi gets the partial sum over [m, hi], padded by _SUM_PAD, plus
+        the remainder beyond hi; a cutoff past hi gets the remainder beyond
+        m - 1 alone, so it depends on (m, nmax) only, never on the rest of
+        the grid."""
         m_grid = [int(m) for m in m_grid]
         if not m_grid or any(b <= a for a, b in zip(m_grid, m_grid[1:])):
             raise ValueError("cutoff grid must be nonempty and strictly increasing")
@@ -219,21 +237,25 @@ class SymbolSeq:
             raise ValueError("cutoff must be >= 0")
         if nmax < 0:
             raise ValueError("nmax must be >= 0")
-        hi = max(nmax, self.finite_support_bound or 0)
+        hi = self.summed_through(nmax, weight)
+        walk = None
         if self.kind in ("explicit", "lacunary"):
-            # the points through hi, read once: nothing else is nonzero there
-            n, vals = self._points(hi)
-            first = np.searchsorted(n, m_grid[0])
-            n, vals = n[first:], vals[first:]
+            # the points read once: nothing else is nonzero through hi, and a
+            # rule's walk runs on to the last cutoff, whose remainders count
+            # the points before them
+            support, vals, first_past = self._points(max(hi, m_grid[-1] - 1))
+            walk = (support, first_past)
+            head = slice(np.searchsorted(support, m_grid[0]), np.searchsorted(support, hi, side="right"))
+            n, vals = support[head], vals[head]
         else:
             n = np.arange(m_grid[0], hi + 1, dtype=np.int64)
             vals = self.values(n)
         terms = _weight_values(weight, n) * np.abs(vals) ** 2
-        rem = self._remainder(hi, weight)
+        rem = self._remainder(hi, weight, walk)
         brackets = []
         for m in m_grid:
             if m > hi:
-                brackets.append(self._remainder(m - 1, weight))
+                brackets.append(self._remainder(m - 1, weight, walk))
                 continue
             # pairwise per-cutoff sums: cheaper-looking running sums accumulate
             # too much rounding for the certified brackets
@@ -261,17 +283,18 @@ class SymbolSeq:
     # -- internals ----------------------------------------------------------
 
     def _points(self, through: int):
-        """(support, values) of an explicit or lacunary symbol: the stored
-        pair of a finite one, a rule's points up to ``through`` otherwise."""
+        """(support, values, first point past through) of an explicit or
+        lacunary symbol: the stored pair of a finite one (with None), a rule's
+        points up to ``through`` otherwise."""
         if "support" in self.params:
-            return self.params["support"], self.params["values"]
+            return self.params["support"], self.params["values"], None
         rule = self.params["rule"]
-        support, _ = _rule_support(self.params, through)
+        support, first_past = _rule_support(self.params, through)
         vals = [
             rule["scale"] * float(n_k) ** (-rule["decay"]) * (k + 1.0) ** (-rule["power"])
             for k, n_k in enumerate(support.tolist())
         ]
-        return support, np.array(vals, dtype=np.float64)
+        return support, np.array(vals, dtype=np.float64), first_past
 
     def _exponents(self) -> list[tuple[float, float]]:
         """(alpha, beta) of each powerlog whose tail order an infinite symbol
@@ -287,10 +310,12 @@ class SymbolSeq:
             return [(d.gamma + 1.0, d.delta) for d in p["measure"].densities]
         return []
 
-    def _remainder(self, nmax: int, weight: str) -> WidomTail:
+    def _remainder(self, nmax: int, weight: str, walk) -> WidomTail:
         """Bracket for sum_{n > nmax} w(n) |lambda_n|^2, nmax past any finite
         support: zero there, divergent when an exponent pair diverges, else
-        the kind's closed form or, for densities and randomized, uncertified."""
+        the kind's closed form or, for densities and randomized, uncertified.
+        A lacunary rule reads its support from walk, the (support, first
+        point past it) of one _points read through at least nmax."""
         if self.finite_support_bound is not None:
             return WidomTail(nmax + 1, 0.0, 0.0)
         if any(_diverges(a, b) for a, b in self._exponents()):
@@ -298,19 +323,20 @@ class SymbolSeq:
         if self.kind == "powerlog":
             return _powerlog_tail(self.params, nmax, weight)
         if self.kind == "lacunary":
-            return self._lacunary_rule_tail(nmax)
+            return self._lacunary_rule_tail(nmax, *walk)
         if self.kind == "moments" and not self.params["measure"].densities:
             return _atom_tail(self.params["measure"].atoms, nmax, weight)
         return WidomTail(nmax + 1, 0.0, np.inf)
 
-    def _lacunary_rule_tail(self, nmax: int) -> WidomTail:
-        """A bracket of either weighted tail past nmax: the support starts at
-        1, so w(n) <= n + 1 <= 2 n covers both weights."""
+    def _lacunary_rule_tail(self, nmax: int, support, first_past: int) -> WidomTail:
+        """A bracket of either weighted tail past nmax, from the rule's support
+        through at least nmax and the first point past it: the support starts
+        at 1, so w(n) <= n + 1 <= 2 n covers both weights."""
         rule = self.params["rule"]
         rho, p, scale = rule["decay"], rule["power"], rule["scale"]
         q = self.params["q"]
-        support, first_past = _rule_support(self.params, nmax)
-        k0, m0 = support.shape[0], float(first_past)  # m0 = n_k0 > nmax
+        k0 = int(np.searchsorted(support, nmax, side="right"))  # the points <= nmax
+        m0 = float(support[k0] if k0 < support.shape[0] else first_past)  # m0 = n_k0 > nmax
         if rho > 0.5:
             # w(n_k) <= 2 n_k, n_k >= m0 q^(k-k0), (k+1)^(-2p) <= (k0+1)^(-2p)
             r = q ** (1.0 - 2.0 * rho)
@@ -368,24 +394,66 @@ def _powerlog_tail(params: dict, nmax: int, weight: str) -> WidomTail:
         # growing log factor: certification not implemented
         return WidomTail(nmax + 1, 0.0, np.inf)
     if a == 1.0:
-        # terms w(n) (n+1)^(-2) L^(-2b) with L = log(n+2); 2b > 1 here
+        if weight == "widom":
+            return _alpha_one_widom_tail(s2, b, nmax)
+        # terms (n+1)^(-1) L^(-2b) with L = log(n+2); 2b > 1 here
         c = 2.0 * b - 1.0
         upper = s2 * (n + 3.0) / (n + 2.0) * np.log(n + 2.0) ** (-c) / c
-        if weight == "widom":
-            # two lower bounds: the integral of the terms from N+1, which rises
-            # with N for small N and c, and, as n/(n+1)^2 >= 1/(n+3) for n >= 1,
-            # the integral of 1/(x log(x)^(2b)) from N+4.  The second at N is
-            # at least the first at N+1, so their max never rises with N
-            lower = max(
-                s2 * (1.0 - (n + 2.0) ** (-2.0)) * np.log(n + 3.0) ** (-c) / c,
-                s2 * np.log(n + 4.0) ** (-c) / c,
-            )
-        else:
-            lower = s2 * np.log(n + 3.0) ** (-c) / c
+        lower = s2 * np.log(n + 3.0) ** (-c) / c
         return WidomTail(nmax + 1, float(lower), float(upper))
     # a > 1, b >= 0: w(n) lambda_n^2 <= (n+1)^(1-2a) log(N+3)^(-2b)
     upper = s2 * np.log(n + 3.0) ** (-2.0 * b) * (n + 1.0) ** (2.0 - 2.0 * a) / (2.0 * a - 2.0)
     return WidomTail(nmax + 1, 0.0, float(upper))
+
+
+def _alpha_one_widom_tail(s2: float, beta: float, nmax: int) -> WidomTail:
+    """Second-order bracket of sum_{n>N} f(n), f(x) = s2 x (x+1)^-2
+    log(x+2)^(-2 beta), for beta > 1/2.
+
+    With g = log f, f'' = f (g'' + g'^2), and for x >= 1 that factor rises
+    with beta; at beta = 1/2 it changes sign once, at x = 1.2093, so f is
+    convex (and decreasing) on [1.21, inf) for every beta here.  For N >= 1
+    the trapezoid and midpoint rules therefore give
+
+        f(N+1)/2 + I(N+1) <= sum_{n>N} f(n) <= I(N+1/2),  I(a) = int_a^inf f,
+
+    and N = 0 adds its one term f(1) exactly.  With v = log(x+2),
+    x (x+1)^-2 dx = (1 - (e^v - 1)^-2) dv, so with V = log(a+2), c = 2 beta - 1
+
+        I(a) = s2 V^-c (1/c - kappa),  kappa V^-c = int_V^inf v^(-2 beta) (e^v - 1)^-2 dv,
+
+    and kappa lies in [1/(2 (a+2)^2 (V+beta)), min(1/(2V), 1/c)/(a+1)^2]:
+    below by v^(-2 beta) >= V^(-2 beta) e^(-2 beta (v-V)/V) and
+    (e^v - 1)^-2 >= e^(-2v), above by v^(-2 beta) <= V^(-2 beta) with
+    int_V^inf (e^v - 1)^-2 dv <= 1/(2 (a+1)^2), or by (e^v - 1)^-2 <= (a+1)^-2.
+
+    Pads follow the standard model (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., section 2.2, Lemma 3.1 and section 4.2):
+    each rounded operation errs by at most u = eps/2 and each libm log and
+    pow by one ulp, 2u; a power x^p of a base that errs by 2u errs by 2|p|u
+    more.  So
+    each positive part (f(N+1)/2, f(1), s2 V^-c (1/c - kappa), whose
+    difference keeps at least 8/9 of 1/c) errs by at most (2c + 9) u, and
+    their sum by gamma_k = k u/(1 - k u) with k = 2c + 11.
+    """
+    c = 2.0 * beta - 1.0  # exact for 1 <= 2 beta <= 2^53
+
+    def f(x: float) -> float:
+        return s2 * x / ((x + 1.0) * (x + 1.0)) * math.log(x + 2.0) ** (-2.0 * beta)
+
+    first = max(nmax, 1)
+    a = first + 1.0  # trapezoid from N+1, kappa at its upper end
+    v = math.log(a + 2.0)
+    lower = 0.5 * f(a) + s2 * v ** (-c) * (1.0 / c - min(0.5 / v, 1.0 / c) / (a + 1.0) ** 2)
+    a = first + 0.5  # midpoint from N+1/2, kappa at its lower end
+    v = math.log(a + 2.0)
+    upper = s2 * v ** (-c) * (1.0 / c - 1.0 / (2.0 * (a + 2.0) ** 2 * (v + beta)))
+    if nmax == 0:
+        head = f(1.0)
+        lower, upper = lower + head, upper + head
+    k = 2.0 * c + 11.0
+    pad = k * _U / (1.0 - k * _U)
+    return WidomTail(nmax + 1, lower * (1.0 - pad), upper * (1.0 + pad))
 
 
 def _atom_tail(atoms, nmax: int, weight: str) -> WidomTail:

@@ -11,11 +11,17 @@ Rewrite the file, after a deliberate change of reports, with
 
     PYTHONPATH=src python tests/golden_reports.py
 
-and name every job that moved in CHANGES.md.
+and name every job that moved in CHANGES.md, which
+
+    PYTHONPATH=src python tests/golden_reports.py --diff
+
+lists without writing the file: each job whose results or curves differ
+from the golden file, with "meta only" where nothing but curve meta moved.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import importlib.util
 import json
@@ -60,10 +66,34 @@ def report_body(config: dict) -> dict:
     return json.loads(json.dumps(body))
 
 
-def main() -> None:
+def _without_meta(curves: list) -> list:
+    return [{key: value for key, value in curve.items() if key != "meta"} for curve in curves]
+
+
+def _moved(golden: dict, new: dict) -> str | None:
+    """What of a job's report moved: None, "meta only" or the moved parts."""
+    parts = [part for part in ("config", "results", "curves") if golden[part] != new[part]]
+    if parts == ["curves"] and _without_meta(golden["curves"]) == _without_meta(new["curves"]):
+        return "meta only"
+    return ", ".join(parts) or None
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description="Write, or with --diff compare with, the golden reports.")
+    parser.add_argument("--diff", action="store_true", help="list the moved jobs; do not write the file")
+    args = parser.parse_args(argv)
+    bodies = {name: report_body(job) for name, job in benchmark_jobs(SEED)}
+    if args.diff:
+        golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        moved = {name: _moved(golden[name], body) if name in golden else "new job" for name, body in bodies.items()}
+        moved.update({name: "gone" for name in golden.keys() - bodies.keys()})
+        for name, what in moved.items():
+            if what:
+                print(f"{name}: {what}")
+        print(f"{sum(map(bool, moved.values()))} of {len(bodies)} jobs moved")
+        return
     lines = [
-        f"{json.dumps(name)}: {json.dumps(report_body(job), sort_keys=True, separators=(',', ':'))}"
-        for name, job in benchmark_jobs(SEED)
+        f"{json.dumps(name)}: {json.dumps(body, sort_keys=True, separators=(',', ':'))}" for name, body in bodies.items()
     ]
     GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
     print(f"wrote {len(lines)} reports to {GOLDEN}")

@@ -407,6 +407,26 @@ def test_non_integer_n_rejected():
     assert err.value.path == "n"
 
 
+@pytest.mark.parametrize(
+    "config,summed_through",
+    [
+        ({"command": "classify", "symbol": {"kind": "powerlog", "alpha": 1.0, "beta": 1.5}}, 2**14),
+        ({"command": "classify", "symbol": {"kind": "powerlog", "alpha": 1.0, "beta": 1.5},
+          "classify": {"nmax": 1000}}, 1000),
+        ({"command": "classify", "symbol": {"kind": "powerlog", "alpha": 1.2, "beta": 1.5}}, 2**18),
+        ({"command": "classify", "symbol": {"kind": "explicit", "values": [1.0] * 40},
+          "classify": {"nmax": 8}}, 39),
+        ({"command": "moments", "measure": {"named": "lebesgue"}, "n": 4}, 2**18),
+    ],
+    ids=["alpha-one-capped", "alpha-one-below-the-cap", "alpha-above-one", "finite-past-nmax", "moments"],
+)
+def test_widom_profile_meta_says_how_far_it_summed(config, summed_through):
+    report = run_config(config)
+    (curve,) = [c for c in report["curves"] if c["label"] == "widom_profile"]
+    nmax = config.get("classify", {}).get("nmax", 2**18)
+    assert curve["meta"] == {"nmax": nmax, "summed_through": summed_through}
+
+
 def test_classify_carleson_route():
     report = run_config(
         {

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import re
 
-from golden_reports import GOLDEN, SEED, benchmark_jobs, config_digest, report_body
+from golden_reports import GOLDEN, SEED, _moved, benchmark_jobs, config_digest, report_body
 
 REL_TOL = 1e-12
 RESIDUAL = 1e-12
@@ -78,3 +78,17 @@ def test_reports_match_golden(capsys):
                 print(f"  {'FAIL' if fails else 'ok  '} {path}: {old!r} -> {new!r}")
     failing = [f"{path}: {old!r} -> {new!r}" for path, old, new, fails in moved if fails]
     assert not failing, f"{len(failing)} value(s) moved past rel {REL_TOL}:\n" + "\n".join(failing)
+
+
+def test_diff_names_what_moved():
+    body = {"config": "c", "results": {"v": 1.0}, "curves": [{"label": "p", "meta": {"nmax": 8}, "rows": [[1.0, 2.0]]}]}
+    meta = json.loads(json.dumps(body))
+    meta["curves"][0]["meta"]["summed_through"] = 8
+    rows = json.loads(json.dumps(meta))
+    rows["curves"][0]["rows"][0][1] = 2.5
+    results = json.loads(json.dumps(body))
+    results["results"]["v"] = 1.5
+    assert _moved(body, body) is None
+    assert _moved(body, meta) == "meta only"
+    assert _moved(body, rows) == "curves"
+    assert _moved(body, results) == "results"

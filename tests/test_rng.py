@@ -145,3 +145,16 @@ def test_unit_start_vector_has_no_zero_entry():
     # a zero entry would leave its coordinate out of every start vector
     v = _rng.unit_start_vector(2**20)
     assert np.count_nonzero(v == 0.0) == 0
+
+
+@pytest.mark.parametrize(
+    "dtype,seeds", [(np.int64, [0, 5, -3, 2**63 - 1, -(2**63)]), (np.uint64, [0, 5, 2**63 + 11, 2**64 - 1])]
+)
+def test_numpy_integer_seeds_draw_as_python_ints(dtype, seeds):
+    # a seed is taken mod 2^64 by the rule streams follow, whatever its type
+    index = np.arange(6)
+    for seed in seeds:
+        want = _rng.raw_bits(seed, [0, 7], index[:, None], slot=1)
+        assert np.array_equal(_rng.raw_bits(dtype(seed), [0, 7], index[:, None], slot=1), want)
+        assert np.array_equal(_rng.uniforms(dtype(seed), 3, index), _rng.uniforms(seed, 3, index))
+        assert [int(w) for w in want[:, 1]] == [reference_word(seed, 7, i, 1) for i in range(6)]

@@ -1,9 +1,13 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from dirspace import symbols
 from dirspace.measures import MeasureSpec
 from dirspace.stochastic import DistTag
-from dirspace.symbols import _SUM_PAD, SymbolSeq
+from dirspace.symbols import _SECOND_ORDER_HEAD, _SUM_PAD, SymbolSeq
 
 
 def test_widom_class_by_kind():
@@ -278,6 +282,80 @@ def test_alpha_one_lower_ends_do_not_rise(beta, weight):
     rest = s.tail_remainder(top, weight).upper
     for t in tails:
         assert t.lower <= np.sum(terms[t.m :]) + rest
+
+
+def _alpha_one_widom_tail_value(beta: float, nmax: int, scale: float):
+    """sum_{n>N} n lambda_n^2 of powerlog(1, beta, scale) to 40 digits: the
+    terms through max(N, 64) one by one, then Euler-Maclaurin from the next
+    index M with four Bernoulli terms (the next one is below 1e-19 of the
+    tail at M >= 65).  The integral from M is the closed form in
+    v = log(x+2) less an mpmath.quad correction.  (mpmath.nsum misses this
+    slowly converging series by orders of magnitude.)"""
+    with mpmath.workdps(40):
+        b, s2 = mpmath.mpf(beta), mpmath.mpf(scale) ** 2
+
+        def f(x):
+            return s2 * x / (x + 1) ** 2 * mpmath.log(x + 2) ** (-2 * b)
+
+        top = max(nmax, 64)
+        head = mpmath.fsum(f(mpmath.mpf(n)) for n in range(nmax + 1, top + 1))
+        m = mpmath.mpf(top + 1)
+        v = mpmath.log(m + 2)
+        correction = mpmath.quad(lambda t: t ** (-2 * b) / mpmath.expm1(t) ** 2, [v, mpmath.inf])
+        integral = s2 * (v ** (1 - 2 * b) / (2 * b - 1) - correction)
+        d = list(mpmath.diffs(f, m, 7))
+        bernoulli = sum(mpmath.bernoulli(2 * j) / mpmath.factorial(2 * j) * d[2 * j - 1] for j in range(1, 5))
+        return head + integral + f(m) / 2 - bernoulli
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(
+    beta=st.floats(0.5, 3.0, exclude_min=True),
+    nmax=st.integers(0, 2**20),
+    scale=st.floats(1e-3, 1e3),
+)
+@example(beta=1.0, nmax=1, scale=1.0)  # the first N past the one exact term
+@example(beta=0.51, nmax=_SECOND_ORDER_HEAD - 1, scale=1.0)
+def test_alpha_one_widom_remainder_contains_its_value(beta, nmax, scale):
+    # the second-order (trapezoid / midpoint) bracket holds a 40-digit value,
+    # and is at most 1e-9 wide, relative, where the head stops
+    s = SymbolSeq.powerlog(1.0, beta, scale)
+    b = s.tail_remainder(nmax)
+    assert b.m == nmax + 1 and not b.divergent
+    assert mpmath.mpf(b.lower) <= _alpha_one_widom_tail_value(beta, nmax, scale) <= mpmath.mpf(b.upper), b
+    if beta <= 2.25:
+        head = s.tail_remainder(_SECOND_ORDER_HEAD)
+        assert head.upper - head.lower <= 1e-9 * head.upper, head
+
+
+def test_summed_through_caps_only_the_second_order_remainder():
+    second_order = SymbolSeq.powerlog(1.0, 1.5)
+    assert second_order.summed_through(2**18) == _SECOND_ORDER_HEAD
+    assert second_order.summed_through(1000) == 1000
+    assert second_order.summed_through(2**18, "membership") == 2**18
+    others = [
+        SymbolSeq.powerlog(1.0, 0.5),
+        SymbolSeq.powerlog(1.5, 1.0),
+        SymbolSeq.lacunary_rule(1, 2.0, 1.0),
+        SymbolSeq.from_measure(MeasureSpec(atoms=[(0.5, 1.0)])),
+    ]
+    assert all(s.summed_through(2**18) == 2**18 for s in others)
+    assert SymbolSeq.explicit(np.ones(40)).summed_through(8) == 39
+
+
+@pytest.mark.parametrize("nmax", [1024, 2**18])
+def test_rule_support_is_walked_once_per_grid(nmax, monkeypatch):
+    # one walk serves the head and every remainder, the cutoffs past nmax
+    # included, and gives the brackets a walk per cutoff gives
+    sym = SymbolSeq.lacunary_rule(1, 1.001, 1, 0.6)
+    grid = [2**j for j in range(4, 15)]
+    walk = symbols._rule_support
+    per_cutoff = {m: sym._lacunary_rule_tail(m - 1, *walk(sym.params, m - 1)) for m in grid if m > nmax}
+    calls = []
+    monkeypatch.setattr(symbols, "_rule_support", lambda *args: calls.append(args) or walk(*args))
+    brackets = sym.tail_brackets(grid, nmax)
+    assert len(calls) == 1
+    assert all(brackets[grid.index(m)] == want for m, want in per_cutoff.items())
 
 
 def test_moments_tail_uncertified_with_density():
