@@ -5,8 +5,9 @@ Boundedness corresponds to S(m) = O(1/log(m+2)) and compactness to the
 little-o version.  Every tail bracket (widom_tail, dirichlet_membership,
 widom_profile) comes from SymbolSeq.tail_brackets: a padded partial sum per
 cutoff plus the symbol's certified remainder.  The partial sums run through
-SymbolSeq.summed_through(nmax), so nmax is a cap: a convergent alpha = 1
-powerlog, whose Widom remainder is second order, stops them at 2^14 however
+SymbolSeq.summed_through(nmax), so nmax (_DEFAULT_NMAX = 2^18 unless given)
+is a cap: a convergent alpha = 1 powerlog, whose remainder is second order
+under both the Widom and the membership weight, stops them at 2^14 however
 large nmax is.  The normalized profile P(m) = S(m) * log(m+2) over a dyadic
 grid of cutoffs goes into every report.
 
@@ -31,12 +32,13 @@ from .symbols import MONOTONE_DECREASING, SymbolSeq, WidomTail
 
 KERNEL_TAIL_TOL = 1e-12  # rkt_probe: bound on each truncated kernel's tail
 MAX_KERNEL_DEGREE = 1 << 20  # rkt_probe: cap on the kernel truncation degree
+_DEFAULT_NMAX = 2**18  # the default cap on a tail bracket's summed head (SymbolSeq.summed_through)
 
 
 @dataclass(frozen=True)
 class ClassifyConfig:
     m_grid: tuple = tuple(2**j for j in range(4, 15))
-    nmax: int = 2**18  # a cap on the summed head (SymbolSeq.summed_through)
+    nmax: int = _DEFAULT_NMAX
 
 
 @dataclass
@@ -65,18 +67,18 @@ class ProbeReport:
     notes: list = field(default_factory=list)
 
 
-def widom_tail(s: SymbolSeq, m: int, nmax: int = 2**18) -> WidomTail:
+def widom_tail(s: SymbolSeq, m: int, nmax: int = _DEFAULT_NMAX) -> WidomTail:
     """Bracket for S(m) = sum_{n >= m} n |lambda_n|^2."""
     return s.tail_brackets([m], nmax)[0]
 
 
-def dirichlet_membership(s: SymbolSeq, nmax: int = 2**18) -> WidomTail:
+def dirichlet_membership(s: SymbolSeq, nmax: int = _DEFAULT_NMAX) -> WidomTail:
     """Bracket for sum_n (n+1) |lambda_n|^2 (finite iff h_lambda lies in the
     Dirichlet space)."""
     return s.tail_brackets([0], nmax, "membership")[0]
 
 
-def widom_profile(s: SymbolSeq, m_grid, nmax: int = 2**18) -> list[WidomTail]:
+def widom_profile(s: SymbolSeq, m_grid, nmax: int = _DEFAULT_NMAX) -> list[WidomTail]:
     """Brackets of S(m) * log(m+2) over an increasing grid of cutoffs."""
     return [
         WidomTail(t.m, t.lower * np.log(t.m + 2.0), t.upper * np.log(t.m + 2.0), t.divergent)

@@ -123,7 +123,7 @@ def random_tail_experiment(
     m_grid,
     n: int,
     rng: RngSpec,
-    membership_nmax: int = 2**18,
+    membership_nmax: int = criteria._DEFAULT_NMAX,
     tol: float = 1e-10,
     max_iter: int | None = None,
 ) -> RandomTailReport:

@@ -15,13 +15,14 @@ one of
 Besides point values every symbol knows how to bracket its weighted tails
 sum_{n > N} w(n) |lambda_n|^2 (w(n) = n or n+1): exactly zero for finite
 symbols, by integral comparison for powerlog (to second order, by the
-trapezoid and midpoint rules, for a convergent alpha = 1 powerlog under the
-Widom weight), by closed-form geometric sums for atomic moment symbols and
+trapezoid and midpoint rules, for a convergent alpha = 1 powerlog under
+either weight), by closed-form geometric sums for atomic moment symbols and
 ruled lacunary symbols, and "not certified" otherwise.  A bracket sums the
 terms through summed_through(nmax) and adds the remainder past it; nmax is a
 cap, and the second-order remainder lets its head stop at
-_SECOND_ORDER_HEAD.  One exponent table (_exponents) gives each infinite symbol the
-(alpha, beta) of the powerlog whose tail order it has.  It sets the class
+_SECOND_ORDER_HEAD whatever the weight.  One exponent table (_exponents)
+gives each infinite symbol the (alpha, beta) of the powerlog whose tail
+order it has.  It sets the class
 (widom_class: the order of S(m) = sum_{n >= m} n |lambda_n|^2 against
 1/log m, which is the verdict) and flags the divergent remainders
 (_remainder, the one tail bracket past the summed indices).
@@ -212,24 +213,25 @@ class SymbolSeq:
         """
         return self.tail_brackets([nmax + 1], nmax, weight)[0]
 
-    def summed_through(self, nmax: int, weight: str = "widom") -> int:
-        """Last index whose term tail_brackets sums for a given nmax: nmax, or
-        the last index that can be nonzero where that lies past nmax.  For a
-        convergent alpha = 1 powerlog under the Widom weight nmax is a cap:
-        its remainder is second order (_alpha_one_widom_tail), so the head
-        stops at _SECOND_ORDER_HEAD."""
+    def summed_through(self, nmax: int) -> int:
+        """Last index whose term tail_brackets sums for a given nmax, under
+        either weight: nmax, or the last index that can be nonzero where
+        that lies past nmax.  For a convergent alpha = 1 powerlog nmax is a
+        cap: its remainder is second order under both weights
+        (_alpha_one_tail), so the head stops at _SECOND_ORDER_HEAD."""
         p = self.params
-        if weight == "widom" and self.kind == "powerlog" and p["alpha"] == 1.0 and p["beta"] > 0.5:
+        if self.kind == "powerlog" and p["alpha"] == 1.0 and p["beta"] > 0.5:
             return min(nmax, _SECOND_ORDER_HEAD)
         return max(nmax, self.finite_support_bound or 0)
 
     def tail_brackets(self, m_grid, nmax: int, weight: str = "widom") -> list[WidomTail]:
         """Brackets of sum_{n >= m} w(n) |lambda_n|^2 at each cutoff of an
-        increasing grid.  With hi = summed_through(nmax, weight), a cutoff
-        m <= hi gets the partial sum over [m, hi], padded by _SUM_PAD, plus
-        the remainder beyond hi; a cutoff past hi gets the remainder beyond
-        m - 1 alone, so it depends on (m, nmax) only, never on the rest of
-        the grid."""
+        increasing grid.  With hi = summed_through(nmax), a cutoff m <= hi
+        gets the partial sum over [m, hi], padded by _SUM_PAD (more for a
+        powerlog with |beta| > 15.5, whose log power amplifies the log's
+        rounding), plus the remainder beyond hi; a cutoff past hi gets the
+        remainder beyond m - 1 alone, so it depends on (m, nmax) only, never
+        on the rest of the grid."""
         m_grid = [int(m) for m in m_grid]
         if not m_grid or any(b <= a for a, b in zip(m_grid, m_grid[1:])):
             raise ValueError("cutoff grid must be nonempty and strictly increasing")
@@ -237,7 +239,7 @@ class SymbolSeq:
             raise ValueError("cutoff must be >= 0")
         if nmax < 0:
             raise ValueError("nmax must be >= 0")
-        hi = self.summed_through(nmax, weight)
+        hi = self.summed_through(nmax)
         walk = None
         if self.kind in ("explicit", "lacunary"):
             # the points read once: nothing else is nonzero through hi, and a
@@ -251,6 +253,10 @@ class SymbolSeq:
             n = np.arange(m_grid[0], hi + 1, dtype=np.int64)
             vals = self.values(n)
         terms = _weight_values(weight, n) * np.abs(vals) ** 2
+        # a powerlog term errs by (18 + 4|beta|) u: 2u per libm call, 2|beta| u
+        # for the power of a rounded log, doubled by the square; numpy's
+        # pairwise sum of fewer than 2^28 terms adds at most 48 u
+        rate = max(_SUM_PAD, (66.0 + 4.0 * abs(self.params["beta"])) * _U) if self.kind == "powerlog" else _SUM_PAD
         rem = self._remainder(hi, weight, walk)
         brackets = []
         for m in m_grid:
@@ -260,7 +266,7 @@ class SymbolSeq:
             # pairwise per-cutoff sums: cheaper-looking running sums accumulate
             # too much rounding for the certified brackets
             partial = float(np.sum(terms[np.searchsorted(n, m) :]))
-            pad = _SUM_PAD * partial
+            pad = rate * partial
             lower = max(partial - pad + rem.lower, 0.0)
             brackets.append(WidomTail(m, lower, partial + pad + rem.upper, rem.divergent))
         return brackets
@@ -394,66 +400,77 @@ def _powerlog_tail(params: dict, nmax: int, weight: str) -> WidomTail:
         # growing log factor: certification not implemented
         return WidomTail(nmax + 1, 0.0, np.inf)
     if a == 1.0:
-        if weight == "widom":
-            return _alpha_one_widom_tail(s2, b, nmax)
-        # terms (n+1)^(-1) L^(-2b) with L = log(n+2); 2b > 1 here
-        c = 2.0 * b - 1.0
-        upper = s2 * (n + 3.0) / (n + 2.0) * np.log(n + 2.0) ** (-c) / c
-        lower = s2 * np.log(n + 3.0) ** (-c) / c
-        return WidomTail(nmax + 1, float(lower), float(upper))
-    # a > 1, b >= 0: w(n) lambda_n^2 <= (n+1)^(1-2a) log(N+3)^(-2b)
+        return _alpha_one_tail(s2, b, nmax, weight)
+    # a > 1, b >= 0: w(n) lambda_n^2 <= (n+1)^(1-2a) log(N+3)^(-2b); widened
+    # by the smallest normal number, as _alpha_one_tail is, for an underflow
     upper = s2 * np.log(n + 3.0) ** (-2.0 * b) * (n + 1.0) ** (2.0 - 2.0 * a) / (2.0 * a - 2.0)
-    return WidomTail(nmax + 1, 0.0, float(upper))
+    return WidomTail(nmax + 1, 0.0, float(upper) + _TINY)
 
 
-def _alpha_one_widom_tail(s2: float, beta: float, nmax: int) -> WidomTail:
-    """Second-order bracket of sum_{n>N} f(n), f(x) = s2 x (x+1)^-2
-    log(x+2)^(-2 beta), for beta > 1/2.
+def _alpha_one_tail(s2: float, beta: float, nmax: int, weight: str) -> WidomTail:
+    """Second-order bracket of sum_{n>N} f(n), f(x) = s2 w(x) (x+1)^-2
+    log(x+2)^(-2 beta), for beta > 1/2 and either weight w(x) = x + d: d = 0
+    (widom) or d = 1 (membership).
 
     With g = log f, f'' = f (g'' + g'^2), and for x >= 1 that factor rises
-    with beta; at beta = 1/2 it changes sign once, at x = 1.2093, so f is
-    convex (and decreasing) on [1.21, inf) for every beta here.  For N >= 1
-    the trapezoid and midpoint rules therefore give
+    with beta; at d = 0, beta = 1/2 it changes sign once, at x = 1.2093, so
+    f is convex (and decreasing) on [1.21, inf) for every beta here.  At
+    d = 1 both factors of f = s2 (x+1)^-1 log(x+2)^(-2 beta) are convex and
+    decreasing for x >= 0.  For N >= 1 the trapezoid and midpoint rules
+    therefore give
 
         f(N+1)/2 + I(N+1) <= sum_{n>N} f(n) <= I(N+1/2),  I(a) = int_a^inf f,
 
-    and N = 0 adds its one term f(1) exactly.  With v = log(x+2),
-    x (x+1)^-2 dx = (1 - (e^v - 1)^-2) dv, so with V = log(a+2), c = 2 beta - 1
+    and N = 0 adds its one term f(1) exactly.  With v = log(x+2) and
+    E = (e^v - 1)^-1 = (x+1)^-1, w(x) (x+1)^-2 dx = (1 + d E - (1-d) E^2) dv,
+    so with V = log(a+2), c = 2 beta - 1
 
-        I(a) = s2 V^-c (1/c - kappa),  kappa V^-c = int_V^inf v^(-2 beta) (e^v - 1)^-2 dv,
+        I(a) = s2 V^-c (1/c + d j - (1-d) kappa),
+        j V^-c = int_V^inf v^(-2 beta) E dv,  kappa V^-c = int_V^inf v^(-2 beta) E^2 dv.
 
-    and kappa lies in [1/(2 (a+2)^2 (V+beta)), min(1/(2V), 1/c)/(a+1)^2]:
-    below by v^(-2 beta) >= V^(-2 beta) e^(-2 beta (v-V)/V) and
-    (e^v - 1)^-2 >= e^(-2v), above by v^(-2 beta) <= V^(-2 beta) with
-    int_V^inf (e^v - 1)^-2 dv <= 1/(2 (a+1)^2), or by (e^v - 1)^-2 <= (a+1)^-2.
+    Below, v^(-2 beta) >= V^(-2 beta) e^(-2 beta (v-V)/V) and E >= e^(-v)
+    give j >= 1/((a+2) (V + 2 beta)) and kappa >= 1/(2 (a+2)^2 (V+beta)).
+    Above, kappa <= min(1/(2V), 1/c)/(a+1)^2, by v^(-2 beta) <= V^(-2 beta)
+    with int_V^inf E^2 dv <= 1/(2 (a+1)^2), or by E^2 <= (a+1)^-2; and
+    E <= e^(-v) (a+2)/(a+1) bounds j by the upper incomplete gamma function
+    Gamma(1 - 2 beta, V), which one integration by parts and the lower bound
+    above put below V^(-2 beta) e^(-V) (V+1)/(V+1+2 beta), so
+    j <= (V+1)/((a+1) V (V+1+2 beta)).
 
     Pads follow the standard model (Higham, Accuracy and Stability of
     Numerical Algorithms, 2nd ed., section 2.2, Lemma 3.1 and section 4.2):
     each rounded operation errs by at most u = eps/2 and each libm log and
     pow by one ulp, 2u; a power x^p of a base that errs by 2u errs by 2|p|u
-    more.  So
-    each positive part (f(N+1)/2, f(1), s2 V^-c (1/c - kappa), whose
-    difference keeps at least 8/9 of 1/c) errs by at most (2c + 9) u, and
-    their sum by gamma_k = k u/(1 - k u) with k = 2c + 11.
+    more.  So f errs by at most (2c + 8) u; s2 V^-c (1/c - kappa), whose
+    difference keeps at least 8/9 of 1/c, by (2c + 9) u; s2 V^-c (1/c + j)
+    by (2c + 10) u below and (2c + 17) u above, where j's quotient errs by
+    12 u; and the sum of the positive parts by gamma_k = k u/(1 - k u) with
+    k = 2c + 11 + 8d.  Each end is widened by the smallest normal number,
+    which keeps the upper end positive where V^-c underflows and covers the
+    digits lost below the normal range (for s2 <= 2^52); well above the
+    subnormal range the widening rounds away.
     """
     c = 2.0 * beta - 1.0  # exact for 1 <= 2 beta <= 2^53
+    d = 1.0 if weight == "membership" else 0.0
 
     def f(x: float) -> float:
-        return s2 * x / ((x + 1.0) * (x + 1.0)) * math.log(x + 2.0) ** (-2.0 * beta)
+        return s2 * (x + d) / ((x + 1.0) * (x + 1.0)) * math.log(x + 2.0) ** (-2.0 * beta)
 
     first = max(nmax, 1)
-    a = first + 1.0  # trapezoid from N+1, kappa at its upper end
+    a = first + 1.0  # trapezoid from N+1: j and kappa at their lower, upper ends
     v = math.log(a + 2.0)
-    lower = 0.5 * f(a) + s2 * v ** (-c) * (1.0 / c - min(0.5 / v, 1.0 / c) / (a + 1.0) ** 2)
-    a = first + 0.5  # midpoint from N+1/2, kappa at its lower end
+    rest = 1.0 / ((a + 2.0) * (v + 2.0 * beta)) if d else -min(0.5 / v, 1.0 / c) / (a + 1.0) ** 2
+    lower = 0.5 * f(a) + s2 * v ** (-c) * (1.0 / c + rest)
+    a = first + 0.5  # midpoint from N+1/2: j and kappa at their upper, lower ends
     v = math.log(a + 2.0)
-    upper = s2 * v ** (-c) * (1.0 / c - 1.0 / (2.0 * (a + 2.0) ** 2 * (v + beta)))
+    rest = (v + 1.0) / ((a + 1.0) * v * (v + 1.0 + 2.0 * beta)) if d else -1.0 / (2.0 * (a + 2.0) ** 2 * (v + beta))
+    upper = s2 * v ** (-c) * (1.0 / c + rest)
     if nmax == 0:
         head = f(1.0)
         lower, upper = lower + head, upper + head
-    k = 2.0 * c + 11.0
+    k = 2.0 * c + 11.0 + 8.0 * d
     pad = k * _U / (1.0 - k * _U)
-    return WidomTail(nmax + 1, lower * (1.0 - pad), upper * (1.0 + pad))
+    return WidomTail(nmax + 1, max(lower * (1.0 - pad) - _TINY, 0.0), upper * (1.0 + pad) + _TINY)
 
 
 def _atom_tail(atoms, nmax: int, weight: str) -> WidomTail:

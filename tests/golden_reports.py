@@ -17,6 +17,9 @@ and name every job that moved in CHANGES.md, which
 
 lists without writing the file: each job whose results or curves differ
 from the golden file, with "meta only" where nothing but curve meta moved.
+Under each such job it judges every moved bracket, a widom_profile row or
+results.membership: the new bracket lies "inside" the golden one, "overlaps"
+it or is "DISJOINT" from it.
 """
 
 from __future__ import annotations
@@ -78,6 +81,28 @@ def _moved(golden: dict, new: dict) -> str | None:
     return ", ".join(parts) or None
 
 
+def _nesting(golden: tuple, new: tuple) -> str:
+    """How a new (lower, upper) bracket lies against the golden one."""
+    if golden[0] <= new[0] and new[1] <= golden[1]:
+        return "inside"
+    return "overlaps" if new[0] <= golden[1] and golden[0] <= new[1] else "DISJOINT"
+
+
+def _moved_brackets(golden: dict, new: dict) -> list[tuple[str, str]]:
+    """(where, nesting) of each widom_profile row and results.membership
+    whose bracket moved."""
+    pairs = []
+    for old_curve, new_curve in zip(golden["curves"], new["curves"]):
+        if old_curve["label"] == new_curve["label"] == "widom_profile":
+            for old, row in zip(old_curve["rows"], new_curve["rows"]):
+                if old != row:
+                    pairs.append((f"widom_profile m={old[0]:g}", (old[1], old[3]), (row[1], row[3])))
+    old, row = golden["results"].get("membership"), new["results"].get("membership")
+    if old and row and old != row:
+        pairs.append(("results.membership", (old["lower"], old["upper"]), (row["lower"], row["upper"])))
+    return [(where, _nesting(old, row)) for where, old, row in pairs]
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description="Write, or with --diff compare with, the golden reports.")
     parser.add_argument("--diff", action="store_true", help="list the moved jobs; do not write the file")
@@ -87,10 +112,17 @@ def main(argv=None) -> None:
         golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
         moved = {name: _moved(golden[name], body) if name in golden else "new job" for name, body in bodies.items()}
         moved.update({name: "gone" for name in golden.keys() - bodies.keys()})
+        nestings = []
         for name, what in moved.items():
             if what:
                 print(f"{name}: {what}")
+            if what and name in golden and name in bodies:
+                for where, nesting in _moved_brackets(golden[name], bodies[name]):
+                    print(f"  {where}: {nesting}")
+                    nestings.append(nesting)
         print(f"{sum(map(bool, moved.values()))} of {len(bodies)} jobs moved")
+        counts = ", ".join(f"{nestings.count(k)} {k}" for k in ("inside", "overlaps", "DISJOINT"))
+        print(f"{len(nestings)} brackets moved: {counts}")
         return
     lines = [
         f"{json.dumps(name)}: {json.dumps(body, sort_keys=True, separators=(',', ':'))}" for name, body in bodies.items()

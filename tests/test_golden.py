@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import re
 
-from golden_reports import GOLDEN, SEED, _moved, benchmark_jobs, config_digest, report_body
+from golden_reports import GOLDEN, SEED, _moved, _moved_brackets, benchmark_jobs, config_digest, report_body
 
 REL_TOL = 1e-12
 RESIDUAL = 1e-12
@@ -92,3 +92,12 @@ def test_diff_names_what_moved():
     assert _moved(body, meta) == "meta only"
     assert _moved(body, rows) == "curves"
     assert _moved(body, results) == "results"
+    # each moved bracket is judged against the golden one
+    profile = {"config": "c", "results": {"membership": {"lower": 1.0, "upper": 2.0}},
+               "curves": [{"label": "widom_profile", "rows": [[16.0, 1.0, 1.5, 2.0], [32.0, 1.0, 1.5, 2.0]]}]}
+    moved = json.loads(json.dumps(profile))
+    moved["results"]["membership"] = {"lower": 1.5, "upper": 2.5}
+    moved["curves"][0]["rows"] = [[16.0, 1.2, 1.5, 1.8], [32.0, 3.0, 3.5, 4.0]]
+    assert _moved_brackets(profile, profile) == []
+    assert _moved_brackets(profile, moved) == [
+        ("widom_profile m=16", "inside"), ("widom_profile m=32", "DISJOINT"), ("results.membership", "overlaps")]

@@ -284,30 +284,38 @@ def test_alpha_one_lower_ends_do_not_rise(beta, weight):
         assert t.lower <= np.sum(terms[t.m :]) + rest
 
 
-def _alpha_one_widom_tail_value(beta: float, nmax: int, scale: float):
-    """sum_{n>N} n lambda_n^2 of powerlog(1, beta, scale) to 40 digits: the
-    terms through max(N, 64) one by one, then Euler-Maclaurin from the next
-    index M with four Bernoulli terms (the next one is below 1e-19 of the
-    tail at M >= 65).  The integral from M is the closed form in
-    v = log(x+2) less an mpmath.quad correction.  (mpmath.nsum misses this
-    slowly converging series by orders of magnitude.)"""
+def _alpha_one_tail_value(beta: float, nmax: int, scale: float, weight: str):
+    """sum_{n>N} (n + d) lambda_n^2 of powerlog(1, beta, scale) to 40 digits,
+    d = 0 (widom) or 1 (membership): the terms through max(N, 64) one by
+    one, then Euler-Maclaurin from the next index M with four Bernoulli
+    terms (the next one is below 1e-19 of the tail at M >= 65).  The
+    integral from M is taken in v = log(x+2), where with E = 1/(e^v - 1) it
+    is the closed form s^2 v^(1 - 2 beta)/(2 beta - 1) plus an mpmath.quad
+    of s^2 v^(-2 beta) (d E - (1-d) E^2).  (mpmath.nsum, and mpmath.quad of
+    the slowly decaying terms in x, miss this series by orders of
+    magnitude.)"""
+    d = 0 if weight == "widom" else 1
     with mpmath.workdps(40):
         b, s2 = mpmath.mpf(beta), mpmath.mpf(scale) ** 2
 
         def f(x):
-            return s2 * x / (x + 1) ** 2 * mpmath.log(x + 2) ** (-2 * b)
+            return s2 * (x + d) / (x + 1) ** 2 * mpmath.log(x + 2) ** (-2 * b)
+
+        def correction(t):
+            e = 1 / mpmath.expm1(t)
+            return t ** (-2 * b) * (d * e - (1 - d) * e**2)
 
         top = max(nmax, 64)
         head = mpmath.fsum(f(mpmath.mpf(n)) for n in range(nmax + 1, top + 1))
         m = mpmath.mpf(top + 1)
         v = mpmath.log(m + 2)
-        correction = mpmath.quad(lambda t: t ** (-2 * b) / mpmath.expm1(t) ** 2, [v, mpmath.inf])
-        integral = s2 * (v ** (1 - 2 * b) / (2 * b - 1) - correction)
-        d = list(mpmath.diffs(f, m, 7))
-        bernoulli = sum(mpmath.bernoulli(2 * j) / mpmath.factorial(2 * j) * d[2 * j - 1] for j in range(1, 5))
+        integral = s2 * (v ** (1 - 2 * b) / (2 * b - 1) + mpmath.quad(correction, [v, mpmath.inf]))
+        diffs = list(mpmath.diffs(f, m, 7))
+        bernoulli = sum(mpmath.bernoulli(2 * j) / mpmath.factorial(2 * j) * diffs[2 * j - 1] for j in range(1, 5))
         return head + integral + f(m) / 2 - bernoulli
 
 
+@pytest.mark.parametrize("weight", ["widom", "membership"])
 @settings(derandomize=True, database=None, max_examples=25, deadline=None)
 @given(
     beta=st.floats(0.5, 3.0, exclude_min=True),
@@ -316,23 +324,55 @@ def _alpha_one_widom_tail_value(beta: float, nmax: int, scale: float):
 )
 @example(beta=1.0, nmax=1, scale=1.0)  # the first N past the one exact term
 @example(beta=0.51, nmax=_SECOND_ORDER_HEAD - 1, scale=1.0)
-def test_alpha_one_widom_remainder_contains_its_value(beta, nmax, scale):
-    # the second-order (trapezoid / midpoint) bracket holds a 40-digit value,
-    # and is at most 1e-9 wide, relative, where the head stops
+def test_alpha_one_remainder_contains_its_value(weight, beta, nmax, scale):
+    # the second-order (trapezoid / midpoint) bracket holds a 40-digit value
+    # under either weight; under the Widom weight it is at most 1e-9 wide,
+    # relative, where the head stops, and a whole membership sum at the
+    # default nmax is at most 1e-8 wide
     s = SymbolSeq.powerlog(1.0, beta, scale)
-    b = s.tail_remainder(nmax)
+    b = s.tail_remainder(nmax, weight)
     assert b.m == nmax + 1 and not b.divergent
-    assert mpmath.mpf(b.lower) <= _alpha_one_widom_tail_value(beta, nmax, scale) <= mpmath.mpf(b.upper), b
-    if beta <= 2.25:
+    assert mpmath.mpf(b.lower) <= _alpha_one_tail_value(beta, nmax, scale, weight) <= mpmath.mpf(b.upper), b
+    if weight == "widom" and beta <= 2.25:
         head = s.tail_remainder(_SECOND_ORDER_HEAD)
         assert head.upper - head.lower <= 1e-9 * head.upper, head
+    if weight == "membership":
+        whole = s.tail_brackets([0], 2**18, weight)[0]
+        assert whole.upper - whole.lower <= 1e-8 * whole.upper, whole
+
+
+@pytest.mark.parametrize("beta", [100.0, 170.0, 200.0, 400.0])
+@pytest.mark.parametrize("weight", ["widom", "membership"])
+def test_powerlog_brackets_hold_tails_that_underflow(beta, weight):
+    # from beta = 170 on, V^-c underflows past the head's end, at 400 every
+    # term from 16 on does and so does the alpha = 1.5 remainder past 100:
+    # the brackets keep a positive upper end and still hold the 40-digit
+    # value, whose head terms err by about 4 beta u (the log's rounding,
+    # raised to the power 2 beta)
+    d = 0 if weight == "widom" else 1
+    alpha_one = SymbolSeq.powerlog(1.0, beta)
+    with mpmath.workdps(40):
+        # past n = 3000 the terms are below e^-100 of the first
+        terms = ((n + d) * mpmath.mpf(n + 1) ** -3 * mpmath.log(n + 2) ** (-2 * beta) for n in range(101, 3001))
+        steep = mpmath.fsum(terms)
+    past_head = _alpha_one_tail_value(beta, _SECOND_ORDER_HEAD, 1.0, weight)
+    cases = [
+        (alpha_one.tail_remainder(_SECOND_ORDER_HEAD, weight), past_head),
+        (alpha_one.tail_brackets([16], 2**18, weight)[0], _alpha_one_tail_value(beta, 15, 1.0, weight)),
+        (SymbolSeq.powerlog(1.5, beta).tail_remainder(100, weight), steep),
+    ]
+    for b, value in cases:
+        assert b.upper > 0.0 and mpmath.mpf(b.lower) <= value <= mpmath.mpf(b.upper), (b, value)
 
 
 def test_summed_through_caps_only_the_second_order_remainder():
     second_order = SymbolSeq.powerlog(1.0, 1.5)
     assert second_order.summed_through(2**18) == _SECOND_ORDER_HEAD
     assert second_order.summed_through(1000) == 1000
-    assert second_order.summed_through(2**18, "membership") == 2**18
+    # the cap holds under both weights: past it nmax moves no bracket
+    for weight in ("widom", "membership"):
+        capped = second_order.tail_brackets([0, 2**16], _SECOND_ORDER_HEAD, weight)
+        assert second_order.tail_brackets([0, 2**16], 2**18, weight) == capped
     others = [
         SymbolSeq.powerlog(1.0, 0.5),
         SymbolSeq.powerlog(1.5, 1.0),
