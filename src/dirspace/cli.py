@@ -14,13 +14,13 @@ numeric grids strictly increasing):
 
     symbol      object; one of
                   {"kind": "explicit", "values": [x | {"re","im"} ...]}
-                  {"kind": "powerlog", "alpha": f, "beta": f, "scale": f=1}
+                  {"kind": "powerlog", "alpha": f, "beta": f}
                   {"kind": "moments", "measure": {...}}
                   {"kind": "lacunary", "support": [int...], "values": [f...]}
-                  {"kind": "lacunary", "rule": {"decay": f, "power": f=0,
-                   "scale": f=1}, "start": int=1, "q": f=2}
+                  {"kind": "lacunary", "rule": {"decay": f, "power": f=0},
+                   "start": int=1, "q": f=2}
                   {"kind": "randomized", "base": {...}, "dist": name,
-                   "normalized": bool=true, "seed": int, "stream": int=0}
+                   "seed": int, "stream": int=0}
     measure     {"atoms": [{"loc": f, "mass": f}...],
                  "densities": [{"c": f, "gamma": f=0, "delta": f=0,
                  "kappa": f=0}...]} or {"named": "lebesgue"}
@@ -32,8 +32,8 @@ numeric grids strictly increasing):
     m_grid      tail cutoffs (indices, 0 <= m < section dimension)
     t_grid      kernel points in [0, 1)
     delta_grid  annulus widths in (0, 1)
-    dist        "rademacher" | "uniform-symmetric" | "gaussian"
-    normalized  fourth-moment normalization flag (default true)
+    dist        "rademacher" | "uniform-symmetric" | "gaussian", scaled
+                to E[X^4] = 1
     replicas    random-sim replica count
     count/max_len  doublesum battery size
     seed/stream    integers; required for stochastic commands (seed is
@@ -144,12 +144,6 @@ def _as_number(value, path: str) -> float:
     return float(value)
 
 
-def _as_bool(value, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(path, "expected a boolean")
-    return value
-
-
 _NUMBER = (_as_number, _REQUIRED)
 _COMPLEX = {"re": _NUMBER, "im": (_as_number, 0.0)}
 
@@ -245,11 +239,11 @@ def _build(path: str, make, *args):
 
 
 # the stochastic fields, shared by the randomized symbol and random-sim
-_DIST = {"dist": (_keep, "rademacher"), "normalized": (_as_bool, True)}
+_DIST = {"dist": (_keep, "rademacher")}
 _SEED = {"seed": (_as_int, _REQUIRED), "stream": (_as_int, 0)}
 
 
-_RULE = {"decay": _NUMBER, "power": (_as_number, 0.0), "scale": (_as_number, 1.0)}
+_RULE = {"decay": _NUMBER, "power": (_as_number, 0.0)}
 
 
 def _rule(value, path: str):
@@ -267,7 +261,7 @@ def _parse_symbol(obj, path: str = "symbol") -> symbols.SymbolSeq:
     if kind == "explicit":
         return symbols.SymbolSeq.explicit(*fields(values=(_list_of(_as_value), _REQUIRED)))
     if kind == "powerlog":
-        return _build(path, symbols.SymbolSeq.powerlog, *fields(alpha=_NUMBER, beta=_NUMBER, scale=(_as_number, 1.0)))
+        return _build(path, symbols.SymbolSeq.powerlog, *fields(alpha=_NUMBER, beta=_NUMBER))
     if kind == "moments":
         return symbols.SymbolSeq.from_measure(*fields(measure=(_parse_measure, _REQUIRED)))
     if kind == "lacunary" and "rule" in obj:
@@ -277,8 +271,8 @@ def _parse_symbol(obj, path: str = "symbol") -> symbols.SymbolSeq:
         support, values = fields(support=(_list_of(_as_int), _REQUIRED), values=(_list_of(_as_number), _REQUIRED))
         return _build(path, symbols.SymbolSeq.lacunary, support, values)
     if kind == "randomized":
-        base, dist, normalized, seed, stream = fields(base=(_parse_symbol, _REQUIRED), **_DIST, **_SEED)
-        dist = _build(f"{path}.dist", stochastic.DistTag, dist, normalized)
+        base, dist, seed, stream = fields(base=(_parse_symbol, _REQUIRED), **_DIST, **_SEED)
+        dist = _build(f"{path}.dist", stochastic.DistTag, dist)
         return symbols.SymbolSeq.randomized(base, dist, seed, stream)
     raise ConfigError(path, f"unknown symbol kind {kind!r}; expected explicit, powerlog, moments, lacunary or randomized")
 
@@ -412,11 +406,11 @@ def _run_carleson(symbol, n_grid, delta_grid, **_) -> tuple[dict, list]:
     return _verdict(report), curves
 
 
-def _run_random_sim(symbol, dist, normalized, seed, stream, replicas, n, m_grid, power, **_) -> tuple[dict, list]:
+def _run_random_sim(symbol, dist, seed, stream, replicas, n, m_grid, power, **_) -> tuple[dict, list]:
     if m_grid is None:
         m_grid = sorted({n // 8, n // 4, n // 2})
     _check_cutoffs(m_grid, n)
-    dist, rng = _build("dist", stochastic.DistTag, dist, normalized), stochastic.RngSpec(seed, stream)
+    dist, rng = _build("dist", stochastic.DistTag, dist), stochastic.RngSpec(seed, stream)
     report = stochastic.random_tail_experiment(symbol, dist, replicas, m_grid, n, rng, **power)
     rand_rows = [[row.m, row.q25, row.median, row.q75] for row in report.rows]
     curves = [

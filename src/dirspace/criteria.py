@@ -28,7 +28,7 @@ import numpy as np
 
 from . import operators
 from .coeffspace import kernel_degree_for_tail, normalized_kernel_coeffs, space_norm
-from .symbols import MONOTONE_DECREASING, SymbolSeq, WidomTail
+from .symbols import _HUGE, MONOTONE_DECREASING, SymbolSeq, WidomTail
 
 KERNEL_TAIL_TOL = 1e-12  # rkt_probe: bound on each truncated kernel's tail
 MAX_KERNEL_DEGREE = 1 << 20  # rkt_probe: cap on the kernel truncation degree
@@ -79,11 +79,14 @@ def dirichlet_membership(s: SymbolSeq, nmax: int = _DEFAULT_NMAX) -> WidomTail:
 
 
 def widom_profile(s: SymbolSeq, m_grid, nmax: int = _DEFAULT_NMAX) -> list[WidomTail]:
-    """Brackets of S(m) * log(m+2) over an increasing grid of cutoffs."""
-    return [
-        WidomTail(t.m, t.lower * np.log(t.m + 2.0), t.upper * np.log(t.m + 2.0), t.divergent)
-        for t in s.tail_brackets(m_grid, nmax)
-    ]
+    """Brackets of S(m) * log(m+2) over an increasing grid of cutoffs; a
+    lower end past the largest float stays at it."""
+    tails = s.tail_brackets(m_grid, nmax)
+    with np.errstate(over="ignore"):
+        return [
+            WidomTail(t.m, min(t.lower * np.log(t.m + 2.0), _HUGE), t.upper * np.log(t.m + 2.0), t.divergent)
+            for t in tails
+        ]
 
 
 def classify(s: SymbolSeq, kind: str, cfg: ClassifyConfig | None = None) -> ClassReport:

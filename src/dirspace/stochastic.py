@@ -2,9 +2,9 @@
 
 Multipliers X_n are i.i.d. with mean zero and finite fourth moment; the
 three supported families are Rademacher (+-1), symmetric uniform, and
-Gaussian.  With the fourth-moment normalization switch on, samples are
-scaled so that E[X^4] = 1, the standing assumption of the fourth-moment
-inequality  E|sum a_i X_i|^4 <= 3 (sum |a_i|^2)^2.
+Gaussian.  Samples are always scaled so that E[X^4] = 1, the standing
+assumption of the fourth-moment inequality
+E|sum a_i X_i|^4 <= 3 (sum |a_i|^2)^2.
 
 Every variate is keyed by (seed, stream, index), so multiplier n does not
 depend on the truncation length and replicas are independent streams.
@@ -27,10 +27,9 @@ _DISTS = {"rademacher": ("rademacher", 1.0), "uniform-symmetric": ("uniform_symm
 
 @dataclass(frozen=True)
 class DistTag:
-    """Multiplier distribution; ``normalized`` rescales so E[X^4] = 1."""
+    """Multiplier distribution, scaled so E[X^4] = 1."""
 
     name: str
-    normalized: bool = True
 
     def __post_init__(self):
         if not isinstance(self.name, str) or self.name not in _DISTS:
@@ -38,7 +37,7 @@ class DistTag:
 
     @property
     def scale(self) -> float:
-        return _DISTS[self.name][1] ** -0.25 if self.normalized else 1.0
+        return _DISTS[self.name][1] ** -0.25
 
     def sample(self, seed: int, stream: int, indices) -> np.ndarray:
         x = getattr(_rng, _DISTS[self.name][0])(seed, stream, indices)
@@ -79,11 +78,6 @@ def fourth_moment_exact_rademacher(a) -> float:
 
 def fourth_moment_mc(a, d: DistTag, trials: int, rng: RngSpec) -> tuple[float, float]:
     """Monte Carlo estimate (mean, stderr) of E |sum a_i X_i|^4."""
-    if not d.normalized:
-        raise ValueError(
-            "the fourth-moment bound check assumes fourth-moment-normalized "
-            "multipliers (E[X^4] = 1)"
-        )
     if trials < 1000:
         raise ValueError("need at least 1000 trials")
     a = np.atleast_1d(np.asarray(a))

@@ -4,11 +4,11 @@ A symbol is an immutable value: a sequence lambda_0, lambda_1, ... given as
 one of
 
 * ``explicit``     -- a finite coefficient list (zero beyond the list),
-* ``powerlog``     -- lambda_n = scale * (n+1)^(-alpha) * log(n+2)^(-beta),
+* ``powerlog``     -- lambda_n = (n+1)^(-alpha) * log(n+2)^(-beta),
 * ``moments``      -- lambda_n = n-th moment of a measure on [0, 1),
 * ``lacunary``     -- supported on a geometrically separated integer set,
   either a finite explicit list or generated from a closed-form rule
-  v_k = scale * n_k^(-decay) * (k+1)^(-power),
+  v_k = n_k^(-decay) * (k+1)^(-power),
 * ``randomized``   -- i.i.d. multipliers X_n times conj(lambda_n) of a base
   symbol, reproducible from a (seed, stream) pair.
 
@@ -43,6 +43,7 @@ MONOTONE_GENERAL = "general"
 _EPS = np.finfo(np.float64).eps
 _U = _EPS / 2.0  # unit roundoff
 _TINY = np.finfo(np.float64).tiny
+_HUGE = np.finfo(np.float64).max
 #: relative padding applied to bracket ends to absorb float summation error
 _SUM_PAD = 64.0 * _EPS
 #: where the head of a second-order remainder's brackets stops (summed_through)
@@ -96,10 +97,8 @@ class SymbolSeq:
         return cls("explicit", {"support": np.arange(arr.shape[0], dtype=np.int64), "values": arr})
 
     @classmethod
-    def powerlog(cls, alpha: float, beta: float, scale: float = 1.0) -> "SymbolSeq":
-        if scale <= 0.0:
-            raise ValueError("powerlog scale must be positive")
-        return cls("powerlog", {"alpha": float(alpha), "beta": float(beta), "scale": float(scale)})
+    def powerlog(cls, alpha: float, beta: float) -> "SymbolSeq":
+        return cls("powerlog", {"alpha": float(alpha), "beta": float(beta)})
 
     @classmethod
     def from_measure(cls, measure) -> "SymbolSeq":
@@ -122,31 +121,22 @@ class SymbolSeq:
         return cls("lacunary", {"support": support, "values": _real_or_complex(vals)})
 
     @classmethod
-    def lacunary_rule(
-        cls,
-        start: int,
-        ratio: float,
-        decay: float,
-        power: float = 0.0,
-        scale: float = 1.0,
-    ) -> "SymbolSeq":
+    def lacunary_rule(cls, start: int, ratio: float, decay: float, power: float = 0.0) -> "SymbolSeq":
         """Infinite lacunary symbol n_0 = start, n_{k+1} = ceil(ratio * n_k),
-        with values v_k = scale * n_k^(-decay) * (k+1)^(-power)."""
+        with values v_k = n_k^(-decay) * (k+1)^(-power)."""
         if start < 1:
             raise ValueError("lacunary support must start at an integer >= 1")
         if ratio <= 1.0:
             raise ValueError("lacunary ratio must satisfy q > 1")
         if power < 0.0:
             raise ValueError("rule power must be >= 0")
-        if scale <= 0.0:
-            raise ValueError("rule scale must be positive")
-        rule = {"decay": float(decay), "power": float(power), "scale": float(scale)}
+        rule = {"decay": float(decay), "power": float(power)}
         return cls("lacunary", {"start": int(start), "q": float(ratio), "rule": rule})
 
     @classmethod
     def randomized(cls, base: "SymbolSeq", dist, seed: int, stream: int = 0) -> "SymbolSeq":
-        """Multiplier symbol X_n * conj(lambda_n); dist must expose
-        sample(seed, stream, indices)."""
+        """Multiplier symbol X_n * conj(lambda_n); dist must expose its name
+        and sample(seed, stream, indices)."""
         params = {"base": base, "dist": dist, "seed": int(seed), "stream": int(stream)}
         return cls("randomized", params)
 
@@ -167,7 +157,7 @@ class SymbolSeq:
             return out
         if self.kind == "powerlog":
             p = self.params
-            return p["scale"] * (idx + 1.0) ** (-p["alpha"]) * np.log(idx + 2.0) ** (-p["beta"])
+            return (idx + 1.0) ** (-p["alpha"]) * np.log(idx + 2.0) ** (-p["beta"])
         if self.kind == "moments":
             return self.params["measure"].moments(idx)
         if self.kind == "randomized":
@@ -224,14 +214,15 @@ class SymbolSeq:
             return min(nmax, _SECOND_ORDER_HEAD)
         return max(nmax, self.finite_support_bound or 0)
 
+    @np.errstate(over="ignore")  # a term or partial sum past the largest float is inf
     def tail_brackets(self, m_grid, nmax: int, weight: str = "widom") -> list[WidomTail]:
         """Brackets of sum_{n >= m} w(n) |lambda_n|^2 at each cutoff of an
         increasing grid.  With hi = summed_through(nmax), a cutoff m <= hi
-        gets the partial sum over [m, hi], padded by _SUM_PAD (more for a
-        powerlog with |beta| > 15.5, whose log power amplifies the log's
-        rounding), plus the remainder beyond hi; a cutoff past hi gets the
-        remainder beyond m - 1 alone, so it depends on (m, nmax) only, never
-        on the rest of the grid."""
+        gets the partial sum over [m, hi], padded by _head_rate, plus the
+        remainder beyond hi; a partial sum that overflows gives the bracket
+        [largest float, inf].  A cutoff past hi gets the remainder beyond
+        m - 1 alone, so it depends on (m, nmax) only, never on the rest of
+        the grid."""
         m_grid = [int(m) for m in m_grid]
         if not m_grid or any(b <= a for a, b in zip(m_grid, m_grid[1:])):
             raise ValueError("cutoff grid must be nonempty and strictly increasing")
@@ -252,11 +243,11 @@ class SymbolSeq:
         else:
             n = np.arange(m_grid[0], hi + 1, dtype=np.int64)
             vals = self.values(n)
-        terms = _weight_values(weight, n) * np.abs(vals) ** 2
-        # a powerlog term errs by (18 + 4|beta|) u: 2u per libm call, 2|beta| u
-        # for the power of a rounded log, doubled by the square; numpy's
-        # pairwise sum of fewer than 2^28 terms adds at most 48 u
-        rate = max(_SUM_PAD, (66.0 + 4.0 * abs(self.params["beta"])) * _U) if self.kind == "powerlog" else _SUM_PAD
+        squares = np.abs(vals) ** 2
+        if weight == "widom" and n.size and n[0] == 0:
+            squares[0] = 0.0  # weight 0: the term is 0 even where |lambda_0|^2 is inf
+        terms = _weight_values(weight, n) * squares
+        rate = self._head_rate()
         rem = self._remainder(hi, weight, walk)
         brackets = []
         for m in m_grid:
@@ -266,6 +257,9 @@ class SymbolSeq:
             # pairwise per-cutoff sums: cheaper-looking running sums accumulate
             # too much rounding for the certified brackets
             partial = float(np.sum(terms[np.searchsorted(n, m) :]))
+            if partial == np.inf:
+                brackets.append(WidomTail(m, _HUGE, np.inf, rem.divergent))
+                continue
             pad = rate * partial
             lower = max(partial - pad + rem.lower, 0.0)
             brackets.append(WidomTail(m, lower, partial + pad + rem.upper, rem.divergent))
@@ -288,6 +282,21 @@ class SymbolSeq:
 
     # -- internals ----------------------------------------------------------
 
+    def _head_rate(self) -> float:
+        """Relative pad of a head's partial sums: _SUM_PAD, or more for a
+        powerlog with |beta| > 15.5, whose term errs by (18 + 4|beta|) u: 2u
+        per libm call, 2|beta| u for the power of a rounded log, doubled by
+        the square; numpy's pairwise sum of fewer than 2^28 terms adds at
+        most 48 u.  A randomized symbol takes its base's rate, plus 2u where
+        the product with its multiplier rounds (once, doubled by the square),
+        which a +-1 multiplier never does."""
+        p = self.params
+        if self.kind == "powerlog":
+            return max(_SUM_PAD, (66.0 + 4.0 * abs(p["beta"])) * _U)
+        if self.kind == "randomized":
+            return p["base"]._head_rate() + (0.0 if p["dist"].name == "rademacher" else 2.0 * _U)
+        return _SUM_PAD
+
     def _points(self, through: int):
         """(support, values, first point past through) of an explicit or
         lacunary symbol: the stored pair of a finite one (with None), a rule's
@@ -296,10 +305,13 @@ class SymbolSeq:
             return self.params["support"], self.params["values"], None
         rule = self.params["rule"]
         support, first_past = _rule_support(self.params, through)
-        vals = [
-            rule["scale"] * float(n_k) ** (-rule["decay"]) * (k + 1.0) ** (-rule["power"])
-            for k, n_k in enumerate(support.tolist())
-        ]
+        # a float64 power that overflows (a negative decay) is inf, where
+        # Python's float power raises; one at a time, as an array power
+        # rounds some values differently
+        with np.errstate(over="ignore"):
+            vals = [
+                np.float64(n_k) ** -rule["decay"] * (k + 1.0) ** -rule["power"] for k, n_k in enumerate(support.tolist())
+            ]
         return support, np.array(vals, dtype=np.float64), first_past
 
     def _exponents(self) -> list[tuple[float, float]]:
@@ -339,21 +351,22 @@ class SymbolSeq:
         through at least nmax and the first point past it: the support starts
         at 1, so w(n) <= n + 1 <= 2 n covers both weights."""
         rule = self.params["rule"]
-        rho, p, scale = rule["decay"], rule["power"], rule["scale"]
+        rho, p = rule["decay"], rule["power"]
         q = self.params["q"]
         k0 = int(np.searchsorted(support, nmax, side="right"))  # the points <= nmax
         m0 = float(support[k0] if k0 < support.shape[0] else first_past)  # m0 = n_k0 > nmax
         if rho > 0.5:
             # w(n_k) <= 2 n_k, n_k >= m0 q^(k-k0), (k+1)^(-2p) <= (k0+1)^(-2p)
             r = q ** (1.0 - 2.0 * rho)
-            upper = 2.0 * scale**2 * (k0 + 1.0) ** (-2.0 * p) * m0 ** (1.0 - 2.0 * rho) / (1.0 - r)
+            upper = 2.0 * (k0 + 1.0) ** (-2.0 * p) * m0 ** (1.0 - 2.0 * rho) / (1.0 - r)
         else:
-            # rho == 0.5, p > 0.5: terms <= scale^2 (1 + 1/m0) (k+1)^(-2p)
+            # rho == 0.5, p > 0.5: terms <= (1 + 1/m0) (k+1)^(-2p)
             kk = max(k0, 1)
             tail_k = kk ** (1.0 - 2.0 * p) / (2.0 * p - 1.0)
             head = (k0 + 1.0) ** (-2.0 * p) if k0 == 0 else 0.0
-            upper = scale**2 * (1.0 + 1.0 / m0) * (tail_k + head)
-        return WidomTail(nmax + 1, 0.0, float(upper))
+            upper = (1.0 + 1.0 / m0) * (tail_k + head)
+        # widened by the smallest normal number, as _powerlog_tail is, for an underflow
+        return WidomTail(nmax + 1, 0.0, float(upper) + _TINY)
 
 
 def _rule_support(params: dict, through: int):
@@ -392,30 +405,29 @@ def _diverges(alpha: float, beta: float) -> bool:
 
 def _powerlog_tail(params: dict, nmax: int, weight: str) -> WidomTail:
     """Integral-comparison bracket for sum_{n>N} w(n) lambda_n^2, lambda_n =
-    scale (n+1)^(-alpha) log(n+2)^(-beta), for a pair that does not diverge."""
-    a, b, scale = params["alpha"], params["beta"], params["scale"]
-    s2 = scale * scale
+    (n+1)^(-alpha) log(n+2)^(-beta), for a pair that does not diverge."""
+    a, b = params["alpha"], params["beta"]
     n = float(nmax)
     if b < 0.0:
         # growing log factor: certification not implemented
         return WidomTail(nmax + 1, 0.0, np.inf)
     if a == 1.0:
-        return _alpha_one_tail(s2, b, nmax, weight)
+        return _alpha_one_tail(b, nmax, weight)
     # a > 1, b >= 0: w(n) lambda_n^2 <= (n+1)^(1-2a) log(N+3)^(-2b); widened
     # by the smallest normal number, as _alpha_one_tail is, for an underflow
-    upper = s2 * np.log(n + 3.0) ** (-2.0 * b) * (n + 1.0) ** (2.0 - 2.0 * a) / (2.0 * a - 2.0)
+    upper = np.log(n + 3.0) ** (-2.0 * b) * (n + 1.0) ** (2.0 - 2.0 * a) / (2.0 * a - 2.0)
     return WidomTail(nmax + 1, 0.0, float(upper) + _TINY)
 
 
-def _alpha_one_tail(s2: float, beta: float, nmax: int, weight: str) -> WidomTail:
-    """Second-order bracket of sum_{n>N} f(n), f(x) = s2 w(x) (x+1)^-2
+def _alpha_one_tail(beta: float, nmax: int, weight: str) -> WidomTail:
+    """Second-order bracket of sum_{n>N} f(n), f(x) = w(x) (x+1)^-2
     log(x+2)^(-2 beta), for beta > 1/2 and either weight w(x) = x + d: d = 0
     (widom) or d = 1 (membership).
 
     With g = log f, f'' = f (g'' + g'^2), and for x >= 1 that factor rises
     with beta; at d = 0, beta = 1/2 it changes sign once, at x = 1.2093, so
     f is convex (and decreasing) on [1.21, inf) for every beta here.  At
-    d = 1 both factors of f = s2 (x+1)^-1 log(x+2)^(-2 beta) are convex and
+    d = 1 both factors of f = (x+1)^-1 log(x+2)^(-2 beta) are convex and
     decreasing for x >= 0.  For N >= 1 the trapezoid and midpoint rules
     therefore give
 
@@ -425,7 +437,7 @@ def _alpha_one_tail(s2: float, beta: float, nmax: int, weight: str) -> WidomTail
     E = (e^v - 1)^-1 = (x+1)^-1, w(x) (x+1)^-2 dx = (1 + d E - (1-d) E^2) dv,
     so with V = log(a+2), c = 2 beta - 1
 
-        I(a) = s2 V^-c (1/c + d j - (1-d) kappa),
+        I(a) = V^-c (1/c + d j - (1-d) kappa),
         j V^-c = int_V^inf v^(-2 beta) E dv,  kappa V^-c = int_V^inf v^(-2 beta) E^2 dv.
 
     Below, v^(-2 beta) >= V^(-2 beta) e^(-2 beta (v-V)/V) and E >= e^(-v)
@@ -441,30 +453,30 @@ def _alpha_one_tail(s2: float, beta: float, nmax: int, weight: str) -> WidomTail
     Numerical Algorithms, 2nd ed., section 2.2, Lemma 3.1 and section 4.2):
     each rounded operation errs by at most u = eps/2 and each libm log and
     pow by one ulp, 2u; a power x^p of a base that errs by 2u errs by 2|p|u
-    more.  So f errs by at most (2c + 8) u; s2 V^-c (1/c - kappa), whose
-    difference keeps at least 8/9 of 1/c, by (2c + 9) u; s2 V^-c (1/c + j)
+    more.  So f errs by at most (2c + 8) u; V^-c (1/c - kappa), whose
+    difference keeps at least 8/9 of 1/c, by (2c + 9) u; V^-c (1/c + j)
     by (2c + 10) u below and (2c + 17) u above, where j's quotient errs by
     12 u; and the sum of the positive parts by gamma_k = k u/(1 - k u) with
     k = 2c + 11 + 8d.  Each end is widened by the smallest normal number,
     which keeps the upper end positive where V^-c underflows and covers the
-    digits lost below the normal range (for s2 <= 2^52); well above the
-    subnormal range the widening rounds away.
+    digits lost below the normal range; well above the subnormal range the
+    widening rounds away.
     """
     c = 2.0 * beta - 1.0  # exact for 1 <= 2 beta <= 2^53
     d = 1.0 if weight == "membership" else 0.0
 
     def f(x: float) -> float:
-        return s2 * (x + d) / ((x + 1.0) * (x + 1.0)) * math.log(x + 2.0) ** (-2.0 * beta)
+        return (x + d) / ((x + 1.0) * (x + 1.0)) * math.log(x + 2.0) ** (-2.0 * beta)
 
     first = max(nmax, 1)
     a = first + 1.0  # trapezoid from N+1: j and kappa at their lower, upper ends
     v = math.log(a + 2.0)
     rest = 1.0 / ((a + 2.0) * (v + 2.0 * beta)) if d else -min(0.5 / v, 1.0 / c) / (a + 1.0) ** 2
-    lower = 0.5 * f(a) + s2 * v ** (-c) * (1.0 / c + rest)
+    lower = 0.5 * f(a) + v ** (-c) * (1.0 / c + rest)
     a = first + 0.5  # midpoint from N+1/2: j and kappa at their upper, lower ends
     v = math.log(a + 2.0)
     rest = (v + 1.0) / ((a + 1.0) * v * (v + 1.0 + 2.0 * beta)) if d else -1.0 / (2.0 * (a + 2.0) ** 2 * (v + beta))
-    upper = s2 * v ** (-c) * (1.0 / c + rest)
+    upper = v ** (-c) * (1.0 / c + rest)
     if nmax == 0:
         head = f(1.0)
         lower, upper = lower + head, upper + head

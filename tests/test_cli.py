@@ -184,6 +184,11 @@ _GRID_RANGE_FAULTS = [
         ({"command": "sections", "symbol": POWERLOG, "n_grid": [8], "seed": NAN}, "seed"),
         ({"command": "classify", "symbol": POWERLOG, "seed": 1.5}, "seed"),
         ({"command": "demo", "preset": "hilbert", "seed": "7"}, "seed"),
+        # the operators are linear in the symbol, so no field only rescales it
+        ({"command": "classify", "symbol": {**POWERLOG, "scale": 2.0}}, "symbol.scale"),
+        ({"command": "classify", "symbol": {"kind": "lacunary", "rule": {"decay": 0.7, "scale": 2.0}}},
+         "symbol.rule.scale"),
+        ({"command": "random-sim", "symbol": POWERLOG, "normalized": True, "seed": 1, "n": 16}, "config.normalized"),
     ],
 )
 def test_config_error_path(config, path):
@@ -287,10 +292,36 @@ def test_random_sim_precondition_message():
         run_config(cfg)
 
 
+def _no_nan(name: str) -> float:
+    """json's parse_constant for reports: Infinity may appear, NaN may not."""
+    if name == "NaN":
+        raise ValueError("NaN in a report")
+    return float(name)
+
+
+@pytest.mark.parametrize(
+    "config, verdict",
+    [
+        # a negative decay: the rule's values overflow to inf where n_k^100 does
+        ({"symbol": {"kind": "lacunary", "rule": {"decay": -100.0}}}, "unbounded"),
+        # finite, but the squares of its values overflow
+        ({"symbol": {"kind": "explicit", "values": [1e200, 1e200]}, "classify": {"m_grid": [0, 1]}}, "compact"),
+    ],
+)
+def test_classify_of_an_overflowing_head_exits_0_without_nan(config, verdict, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main(["classify", "--config", str(cfg)]) == 0
+    report = json.loads(capsys.readouterr().out, parse_constant=_no_nan)
+    assert report["results"]["verdict"] == verdict
+    # each profile row is [m, lower, lower, inf], with S(m) log(m+2) >= lower > 1e307
+    assert all(1e307 < row[1] == row[2] < INF == row[3] for row in report["curves"][0]["rows"])
+
+
 def test_symbol_describe_roundtrip():
     for cfg, s in [
         ({"kind": "explicit", "values": [1.0, 0.5, 0.25]}, SymbolSeq.explicit([1.0, 0.5, 0.25])),
-        ({"kind": "powerlog", "alpha": 1.0, "beta": 1.5, "scale": 2.0}, SymbolSeq.powerlog(1.0, 1.5, 2.0)),
+        ({"kind": "powerlog", "alpha": 1.0, "beta": 1.5}, SymbolSeq.powerlog(1.0, 1.5)),
         (
             {"kind": "moments", "measure": {"atoms": [{"loc": 0.5, "mass": 1.0}]}},
             SymbolSeq.from_measure(MeasureSpec.point_mass(0.5)),
@@ -308,13 +339,10 @@ def test_symbol_describe_roundtrip():
                 "kind": "randomized",
                 "base": {"kind": "powerlog", "alpha": 1.0, "beta": 1.0},
                 "dist": "uniform-symmetric",
-                "normalized": False,
                 "seed": 3,
                 "stream": 1,
             },
-            SymbolSeq.randomized(
-                SymbolSeq.powerlog(1.0, 1.0), DistTag("uniform-symmetric", normalized=False), 3, 1
-            ),
+            SymbolSeq.randomized(SymbolSeq.powerlog(1.0, 1.0), DistTag("uniform-symmetric"), 3, 1),
         ),
     ]:
         idx = np.arange(40)

@@ -228,9 +228,9 @@ def test_classify_cesaro_log_symbol_bounded():
 def test_classify_fast_decay_compact():
     # power decay faster than 1/n: loose one-sided remainders widen the
     # brackets, but the certified end-to-end decay still proves compactness
-    assert classify(SymbolSeq.powerlog(1.3, 0.2, 0.7), "hankel").verdict == "compact"
+    assert classify(SymbolSeq.powerlog(1.3, 0.2), "hankel").verdict == "compact"
     assert classify(SymbolSeq.powerlog(2.0, 0.0), "hankel").verdict == "compact"
-    assert classify(SymbolSeq.lacunary_rule(2, 3.0, 1.2, 0.5, 0.8), "hankel").verdict == "compact"
+    assert classify(SymbolSeq.lacunary_rule(2, 3.0, 1.2, 0.5), "hankel").verdict == "compact"
 
 
 def test_classify_cesaro_applicability():
@@ -261,7 +261,7 @@ def test_classify_uncertified_inconclusive():
     # the randomized symbol have the class of powerlog(2, 0)
     tame = MeasureSpec(densities=[{"c": 1.0, "gamma": 3.0}])
     scaled = MeasureSpec(densities=[{"c": 100.0, "gamma": 1.0}])
-    rand = SymbolSeq.randomized(SymbolSeq.powerlog(2.0, 0.0, scale=100.0), DistTag("rademacher"), seed=3)
+    rand = SymbolSeq.randomized(SymbolSeq.from_measure(scaled), DistTag("rademacher"), seed=3)
     for s, large in ((SymbolSeq.from_measure(tame), False), (SymbolSeq.from_measure(scaled), True), (rand, True)):
         rep = classify(s, "hankel")
         assert rep.verdict == "inconclusive"

@@ -473,7 +473,7 @@ def test_cesaro_rkt_norm_matches_pipeline():
 @pytest.mark.parametrize("t", [0.1, 0.6, 0.9])
 @pytest.mark.parametrize("n", [64, 256])
 def test_cesaro_rkt_norm_grid_consistency(t, n):
-    s = SymbolSeq.powerlog(1.2, 0.8, scale=1.7)
+    s = SymbolSeq.powerlog(1.2, 0.8)
     closed = cesaro_rkt_norm(s, t, n)
     kern, _ = normalized_kernel_coeffs(t, n + 1)
     pipeline = space_norm(cesaro_apply(s, kern, n + 1), "dirichlet-exact")

@@ -74,15 +74,10 @@ def test_powerlog_hilbert_value():
 
 
 def test_powerlog_values_match_formula():
-    s = SymbolSeq.powerlog(1.25, 0.75, scale=2.5)
+    s = SymbolSeq.powerlog(1.25, 0.75)
     n = np.arange(10)
-    expect = 2.5 * (n + 1.0) ** -1.25 * np.log(n + 2.0) ** -0.75
+    expect = (n + 1.0) ** -1.25 * np.log(n + 2.0) ** -0.75
     assert np.allclose(s.values(n), expect, rtol=1e-15)
-
-
-def test_powerlog_validation():
-    with pytest.raises(ValueError):
-        SymbolSeq.powerlog(1.0, 0.0, scale=0.0)
 
 
 def test_moments_symbol_values():
@@ -284,22 +279,22 @@ def test_alpha_one_lower_ends_do_not_rise(beta, weight):
         assert t.lower <= np.sum(terms[t.m :]) + rest
 
 
-def _alpha_one_tail_value(beta: float, nmax: int, scale: float, weight: str):
-    """sum_{n>N} (n + d) lambda_n^2 of powerlog(1, beta, scale) to 40 digits,
+def _alpha_one_tail_value(beta: float, nmax: int, weight: str):
+    """sum_{n>N} (n + d) lambda_n^2 of powerlog(1, beta) to 40 digits,
     d = 0 (widom) or 1 (membership): the terms through max(N, 64) one by
     one, then Euler-Maclaurin from the next index M with four Bernoulli
     terms (the next one is below 1e-19 of the tail at M >= 65).  The
     integral from M is taken in v = log(x+2), where with E = 1/(e^v - 1) it
-    is the closed form s^2 v^(1 - 2 beta)/(2 beta - 1) plus an mpmath.quad
-    of s^2 v^(-2 beta) (d E - (1-d) E^2).  (mpmath.nsum, and mpmath.quad of
+    is the closed form v^(1 - 2 beta)/(2 beta - 1) plus an mpmath.quad
+    of v^(-2 beta) (d E - (1-d) E^2).  (mpmath.nsum, and mpmath.quad of
     the slowly decaying terms in x, miss this series by orders of
     magnitude.)"""
     d = 0 if weight == "widom" else 1
     with mpmath.workdps(40):
-        b, s2 = mpmath.mpf(beta), mpmath.mpf(scale) ** 2
+        b = mpmath.mpf(beta)
 
         def f(x):
-            return s2 * (x + d) / (x + 1) ** 2 * mpmath.log(x + 2) ** (-2 * b)
+            return (x + d) / (x + 1) ** 2 * mpmath.log(x + 2) ** (-2 * b)
 
         def correction(t):
             e = 1 / mpmath.expm1(t)
@@ -309,7 +304,7 @@ def _alpha_one_tail_value(beta: float, nmax: int, scale: float, weight: str):
         head = mpmath.fsum(f(mpmath.mpf(n)) for n in range(nmax + 1, top + 1))
         m = mpmath.mpf(top + 1)
         v = mpmath.log(m + 2)
-        integral = s2 * (v ** (1 - 2 * b) / (2 * b - 1) + mpmath.quad(correction, [v, mpmath.inf]))
+        integral = v ** (1 - 2 * b) / (2 * b - 1) + mpmath.quad(correction, [v, mpmath.inf])
         diffs = list(mpmath.diffs(f, m, 7))
         bernoulli = sum(mpmath.bernoulli(2 * j) / mpmath.factorial(2 * j) * diffs[2 * j - 1] for j in range(1, 5))
         return head + integral + f(m) / 2 - bernoulli
@@ -320,19 +315,18 @@ def _alpha_one_tail_value(beta: float, nmax: int, scale: float, weight: str):
 @given(
     beta=st.floats(0.5, 3.0, exclude_min=True),
     nmax=st.integers(0, 2**20),
-    scale=st.floats(1e-3, 1e3),
 )
-@example(beta=1.0, nmax=1, scale=1.0)  # the first N past the one exact term
-@example(beta=0.51, nmax=_SECOND_ORDER_HEAD - 1, scale=1.0)
-def test_alpha_one_remainder_contains_its_value(weight, beta, nmax, scale):
+@example(beta=1.0, nmax=1)  # the first N past the one exact term
+@example(beta=0.51, nmax=_SECOND_ORDER_HEAD - 1)
+def test_alpha_one_remainder_contains_its_value(weight, beta, nmax):
     # the second-order (trapezoid / midpoint) bracket holds a 40-digit value
     # under either weight; under the Widom weight it is at most 1e-9 wide,
     # relative, where the head stops, and a whole membership sum at the
     # default nmax is at most 1e-8 wide
-    s = SymbolSeq.powerlog(1.0, beta, scale)
+    s = SymbolSeq.powerlog(1.0, beta)
     b = s.tail_remainder(nmax, weight)
     assert b.m == nmax + 1 and not b.divergent
-    assert mpmath.mpf(b.lower) <= _alpha_one_tail_value(beta, nmax, scale, weight) <= mpmath.mpf(b.upper), b
+    assert mpmath.mpf(b.lower) <= _alpha_one_tail_value(beta, nmax, weight) <= mpmath.mpf(b.upper), b
     if weight == "widom" and beta <= 2.25:
         head = s.tail_remainder(_SECOND_ORDER_HEAD)
         assert head.upper - head.lower <= 1e-9 * head.upper, head
@@ -355,14 +349,36 @@ def test_powerlog_brackets_hold_tails_that_underflow(beta, weight):
         # past n = 3000 the terms are below e^-100 of the first
         terms = ((n + d) * mpmath.mpf(n + 1) ** -3 * mpmath.log(n + 2) ** (-2 * beta) for n in range(101, 3001))
         steep = mpmath.fsum(terms)
-    past_head = _alpha_one_tail_value(beta, _SECOND_ORDER_HEAD, 1.0, weight)
+    past_head = _alpha_one_tail_value(beta, _SECOND_ORDER_HEAD, weight)
     cases = [
         (alpha_one.tail_remainder(_SECOND_ORDER_HEAD, weight), past_head),
-        (alpha_one.tail_brackets([16], 2**18, weight)[0], _alpha_one_tail_value(beta, 15, 1.0, weight)),
+        (alpha_one.tail_brackets([16], 2**18, weight)[0], _alpha_one_tail_value(beta, 15, weight)),
         (SymbolSeq.powerlog(1.5, beta).tail_remainder(100, weight), steep),
     ]
     for b, value in cases:
         assert b.upper > 0.0 and mpmath.mpf(b.lower) <= value <= mpmath.mpf(b.upper), (b, value)
+
+
+def test_randomized_head_takes_its_base_pad():
+    # a Rademacher multiplier leaves |lambda_n| as it is, so the head errs by
+    # its base's 4 beta u; its lower end stays below the 40-digit S(16) =
+    # 1.0464503701342846e-158 (the tail past n = 1024 is below 1e-100 of it)
+    s = SymbolSeq.randomized(SymbolSeq.powerlog(1.0, 170.0), DistTag("rademacher"), seed=1)
+    b = s.tail_brackets([16], 2**10)[0]
+    with mpmath.workdps(40):
+        value = mpmath.fsum(n * mpmath.mpf(n + 1) ** -2 * mpmath.log(n + 2) ** -340 for n in range(16, 1025))
+    assert mpmath.mpf(b.lower) <= value and b.lower <= 1.0464503701342846e-158, b
+
+
+def test_overflowing_head_brackets_from_the_largest_float():
+    # the squares of 1e200 overflow: the bracket is [largest float, inf], not
+    # NaN, and a term of weight 0 stays 0
+    huge = np.finfo(np.float64).max
+    s = SymbolSeq.explicit([1e200, 1e200])
+    for b in s.tail_brackets([0, 1], 10) + s.tail_brackets([0, 1], 10, "membership"):
+        assert (b.lower, b.upper, b.divergent) == (huge, np.inf, False), b
+    b = SymbolSeq.explicit([1e200]).tail_brackets([0], 10)[0]
+    assert (b.lower, b.upper) == (0.0, 0.0), b
 
 
 def test_summed_through_caps_only_the_second_order_remainder():
@@ -414,6 +430,23 @@ def test_lacunary_rule_tail_divergence():
     assert SymbolSeq.lacunary_rule(1, 2.0, 0.4, 2.0).tail_remainder(100, "membership").divergent
     assert not SymbolSeq.lacunary_rule(1, 2.0, 0.5, 1.0).tail_remainder(100, "membership").divergent
     assert not SymbolSeq.lacunary_rule(1, 2.0, 1.0, 0.0).tail_remainder(100, "membership").divergent
+
+
+def test_lacunary_rule_with_a_negative_decay_diverges():
+    # n_k^100 overflows from n_k = 2^11 on: those values are inf, and every
+    # head from them on brackets [largest float, inf]
+    s = SymbolSeq.lacunary_rule(1, 2.0, -100.0)
+    assert s.values([2**10, 2**11]).tolist() == [2.0**1000, np.inf]
+    assert s.widom_class() == "unbounded"
+    b = s.tail_brackets([16], 2**10)[0]
+    assert (b.lower, b.upper, b.divergent) == (np.finfo(np.float64).max, np.inf, True), b
+
+
+@pytest.mark.parametrize("decay", [200.0, 400.0])
+def test_lacunary_rule_remainder_keeps_a_positive_upper_end(decay):
+    # every term from n = 16 on underflows, as does the closed-form remainder
+    b = SymbolSeq.lacunary_rule(1, 2.0, decay).tail_brackets([16], 2**10)[0]
+    assert b.lower == 0.0 < b.upper, b
 
 
 @pytest.mark.parametrize("decay,power", [(0.5, 1.0), (0.75, 0.0), (1.0, 0.5)])
